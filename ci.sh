@@ -39,6 +39,15 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 echo "== benches compile =="
 cargo bench --workspace --no-run
 
+echo "== skewbench harness builds against its locked dependencies and self-tests =="
+# skewbench/ is a package of its own with a committed Cargo.lock. A core
+# API change it cannot compile against, or a dependency change that
+# would need a new lock file, fails here rather than in a benchmark run.
+CARGO_TARGET_DIR=.bench_build cargo build --release --offline --locked \
+  --manifest-path skewbench/Cargo.toml
+CARGO_TARGET_DIR=.bench_build cargo test --release --offline --locked \
+  --manifest-path skewbench/Cargo.toml
+
 echo "== grid bench smoke + 100k-process scale run + shard scaling (budget 120s) =="
 timeout 120 cargo run --release -p skewbound-bench --bin tables -- \
   --object register --scale 100000 --shards 1,4,8 >/dev/null

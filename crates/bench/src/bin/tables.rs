@@ -10,9 +10,9 @@
 //! RSS in `BENCH_grid.json`.
 //!
 //! `--shards S1,S2,...` additionally runs the sharded-namespace scaling
-//! grid at each listed shard count (fixed total work, batching on and
-//! off, every shard gated by the per-shard linearizability check) and
-//! records the curve in `BENCH_grid.json`.
+//! grid at each listed shard count (fixed total work, every shard gated
+//! by the per-shard linearizability check) and records the curve in
+//! `BENCH_grid.json`.
 //!
 //! With no arguments, prints everything: Tables I–IV and all figure
 //! experiments, using the workspace default parameters.
@@ -183,18 +183,13 @@ fn main() {
             });
             let shard_points: Vec<ShardScalePoint> =
                 shard_counts.as_deref().map_or_else(Vec::new, |counts| {
-                    let mut points = shard_scaling(counts, true);
-                    points.extend(shard_scaling(counts, false));
+                    let points = shard_scaling(counts);
                     if !csv {
                         for p in &points {
                             println!(
-                                "shard run: {} shard(s), batching {}: {} events, \
+                                "shard run: {} shard(s): {} events, \
                                  {:.0} aggregate events/sec ({} keys gated)",
-                                p.shards,
-                                if p.batched { "on" } else { "off" },
-                                p.events,
-                                p.agg_events_per_sec,
-                                p.checked_keys,
+                                p.shards, p.events, p.agg_events_per_sec, p.checked_keys,
                             );
                         }
                     }
@@ -305,8 +300,8 @@ fn mc_throughput_run() -> McReport {
 /// The `scale_*` fields are zero when `--scale` was not requested;
 /// `shards` / `shard_events_per_sec` are zero and `shard_scaling` empty
 /// when `--shards` was not requested. The headline `shards` /
-/// `shard_events_per_sec` pair reports the largest batching-on point;
-/// the full curve (batching on and off) is in the `shard_scaling` array,
+/// `shard_events_per_sec` pair reports the largest shard count; the
+/// full curve is in the `shard_scaling` array,
 /// whose entries use `shard_count` so every field name stays unique in
 /// the file (the CI greps rely on that). The `mc_*` fields and
 /// `explored_states_per_sec` report the model-checker throughput run
@@ -318,23 +313,15 @@ fn write_grid_bench(
     mc: &McReport,
     elapsed: std::time::Duration,
 ) -> std::io::Result<()> {
-    let headline = shard_points
-        .iter()
-        .filter(|p| p.batched)
-        .max_by_key(|p| p.shards);
+    let headline = shard_points.iter().max_by_key(|p| p.shards);
     let shard_curve = shard_points
         .iter()
         .map(|p| {
             format!(
-                "\n    {{ \"shard_count\": {}, \"batched\": {}, \"shard_events\": {}, \
+                "\n    {{ \"shard_count\": {}, \"shard_events\": {}, \
                  \"agg_events_per_sec\": {:.1}, \"max_shard_wall_nanos\": {}, \
                  \"gated_keys\": {} }}",
-                p.shards,
-                p.batched,
-                p.events,
-                p.agg_events_per_sec,
-                p.max_wall_nanos,
-                p.checked_keys,
+                p.shards, p.events, p.agg_events_per_sec, p.max_wall_nanos, p.checked_keys,
             )
         })
         .collect::<Vec<_>>()

@@ -621,8 +621,6 @@ pub fn tree_label(op: &TreeOp) -> &'static str {
 pub struct ShardScalePoint {
     /// Shard count of this point.
     pub shards: usize,
-    /// Whether broadcasts were framed as delivery batches.
-    pub batched: bool,
     /// Total engine events across all shards.
     pub events: u64,
     /// Aggregate throughput: `Σ eventsᵢ / wallᵢ` (see
@@ -655,21 +653,20 @@ pub const SHARD_SCALE_TOTAL_BATCHES: usize = 5760;
 /// Panics if any shard's history fails its gate, naming the shard and
 /// the violating keys.
 #[must_use]
-pub fn shard_scaling(shard_counts: &[usize], batched: bool) -> Vec<ShardScalePoint> {
+pub fn shard_scaling(shard_counts: &[usize]) -> Vec<ShardScalePoint> {
     shard_counts
         .iter()
-        .map(|&shards| shard_scale_point(shards, batched))
+        .map(|&shards| shard_scale_point(shards))
         .collect()
 }
 
-fn shard_scale_point(shards: usize, batched: bool) -> ShardScalePoint {
+fn shard_scale_point(shards: usize) -> ShardScalePoint {
     let workload = skewbound_core::shard::ShardWorkload::with_total_batches(
         shards,
         3,
         4096,
         SHARD_SCALE_TOTAL_BATCHES,
         8,
-        batched,
         0x5EED_CAFE,
     );
     let outcomes = skewbound_core::shard::run_sharded(&workload);
@@ -689,7 +686,6 @@ fn shard_scale_point(shards: usize, batched: bool) -> ShardScalePoint {
     let stats = skewbound_sim::shard::ShardStats::from_runs(&runs);
     ShardScalePoint {
         shards,
-        batched,
         events: stats.events,
         agg_events_per_sec: stats.aggregate_events_per_sec,
         max_wall_nanos: stats.max_wall_nanos,

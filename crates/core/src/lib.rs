@@ -68,7 +68,7 @@ pub mod prelude {
     pub use crate::centralized::{CentralMsg, Centralized};
     pub use crate::foils::LocalFirstReplica;
     pub use crate::harness::{run_history, run_history_rt, run_history_traced, run_simulation};
-    pub use crate::nsreplica::{NsOpMsg, NsReplica, NsTimer};
+    pub use crate::nsreplica::{BatchedNamespace, NsReplica};
     pub use crate::params::{ParamError, Params};
     pub use crate::replica::{OpMsg, Replica, ReplicaTimer, TimerProfile};
     pub use crate::shard::{

@@ -1,157 +1,36 @@
 //! Algorithm 1 over a keyed namespace, with batched invocations.
 //!
-//! [`NsReplica`] runs the same timers as [`Replica`](crate::replica) but
-//! its object is a [`Namespace`](skewbound_spec::namespace::Namespace):
-//! every operation carries an object key, and the local copy is a map
-//! from keys to per-object states mutated *in place* (only the touched
-//! key's entry changes — no whole-map clone per op, unlike
-//! `Namespace::apply`, which is written for checking, not for the
-//! replica hot loop).
+//! A namespace of independent objects is one object (Herlihy–Wing
+//! locality), and a batch of its keyed ops is one op of that object.
+//! So [`NsReplica`] is the generic [`Replica`] over the spec
+//! [`BatchedNamespace<S>`] = `Batch<Namespace<S>>`, and its `Actor`
+//! impl only delegates. There is no second copy of Algorithm 1.
 //!
-//! Invocations are **class-homogeneous batches**: one `Vec<NsOp>` of
-//! pure mutators or pure accessors invoked together and responded
-//! together. A batch shares one invocation clock reading; its ops are
-//! disambiguated by the timestamp's sequence component
-//! (`⟨clock, pid, #j⟩`, see [`Timestamp::with_seq`]), so all ops of one
-//! batch are adjacent in the global timestamp order — no foreign
-//! timestamp can fall strictly between `⟨t, p, #0⟩` and `⟨t, p, #k⟩`,
-//! because any other process's timestamp differs in the time or pid
-//! component and those order first.
-//!
-//! Because of that adjacency, a batch needs only **one timer per role**
-//! where the unbatched replica needs one per op:
-//!
-//! * one `SelfAdd` at `d − u` carrying all `(ts, op)` pairs;
-//! * one `Execute` hold timer at `u + ε` per *delivery*, set at the
-//!   batch's largest timestamp (the inclusive, timestamp-ordered
-//!   `execute_up_to` then fires each op exactly when its own timer
-//!   would have — the "single timestamp pass");
-//! * one `MutatorRespond` at `ε + X` carrying the whole response vector,
-//!   or one `AccessorRespond` at `d + ε − X` executing everything below
-//!   the batch's first timestamp and then reading all ops back to back.
-//!
-//! The `batched` flag controls *message framing only*: `true` sends one
-//! delivery batch per broadcast ([`Context::broadcast_batch`]), `false`
-//! sends one message per op. Timer placement and response times are
-//! identical either way, which is what lets the benchmarks A/B the
-//! transport-level batching in isolation.
+//! One invocation is one `Vec<NsOp>` with **one timestamp**, one
+//! broadcast message and one timer per role. A batch of pure mutators
+//! responds at `ε + X`, a batch of pure accessors at `d + ε − X`, and a
+//! mixed or `OOP` batch is an `Other`-class op that responds when it
+//! executes, within `d + ε`. The local copy is the per-key state map;
+//! [`SequentialSpec::apply_in_place`] and [`SequentialSpec::peek`]
+//! touch only the keys a batch names.
 
 use core::fmt;
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
-use std::sync::Arc;
+use std::collections::BTreeMap;
 
 use skewbound_sim::actor::{Actor, Context};
 use skewbound_sim::ids::ProcessId;
-use skewbound_spec::namespace::NsOp;
-use skewbound_spec::seqspec::{OpClass, SequentialSpec};
+use skewbound_spec::combinators::Batch;
+use skewbound_spec::namespace::{Namespace, NsOp};
+use skewbound_spec::seqspec::SequentialSpec;
 
 use crate::params::Params;
-use crate::replica::TimerProfile;
-use crate::timestamp::Timestamp;
+use crate::replica::{OpMsg, Replica, ReplicaTimer};
 
-/// The broadcast message: one keyed operation and its timestamp.
-pub struct NsOpMsg<S: SequentialSpec> {
-    /// The keyed operation.
-    pub op: NsOp<S::Op>,
-    /// Its global timestamp (sequence component set per batch slot).
-    pub ts: Timestamp,
-}
-
-impl<S: SequentialSpec> Clone for NsOpMsg<S> {
-    fn clone(&self) -> Self {
-        NsOpMsg {
-            op: self.op.clone(),
-            ts: self.ts,
-        }
-    }
-}
-
-impl<S: SequentialSpec> fmt::Debug for NsOpMsg<S> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "NsOpMsg({:?} @ {})", self.op, self.ts)
-    }
-}
-
-/// Timers of the batched namespace replica (one per batch, not per op —
-/// see the [module docs](self)).
-pub enum NsTimer<S: SequentialSpec> {
-    /// Add one's own broadcast batch to `To_Execute`.
-    SelfAdd {
-        /// The batch's `(timestamp, op)` pairs, in sequence order.
-        ops: Vec<(Timestamp, NsOp<S::Op>)>,
-    },
-    /// Execute everything with timestamp `≤ ts`.
-    Execute {
-        /// The hold-expired (largest-of-batch) timestamp.
-        ts: Timestamp,
-    },
-    /// Respond to the pending pure-mutator batch.
-    MutatorRespond {
-        /// The precomputed (state-independent) responses, in batch order.
-        resps: Vec<S::Resp>,
-    },
-    /// Execute everything below the batch's first timestamp, then read
-    /// and respond to the pending pure-accessor batch.
-    AccessorRespond {
-        /// The batch's `(timestamp, op)` pairs, in sequence order.
-        ops: Vec<(Timestamp, NsOp<S::Op>)>,
-    },
-}
-
-impl<S: SequentialSpec> Clone for NsTimer<S> {
-    fn clone(&self) -> Self {
-        match self {
-            NsTimer::SelfAdd { ops } => NsTimer::SelfAdd { ops: ops.clone() },
-            NsTimer::Execute { ts } => NsTimer::Execute { ts: *ts },
-            NsTimer::MutatorRespond { resps } => NsTimer::MutatorRespond {
-                resps: resps.clone(),
-            },
-            NsTimer::AccessorRespond { ops } => NsTimer::AccessorRespond { ops: ops.clone() },
-        }
-    }
-}
-
-impl<S: SequentialSpec> fmt::Debug for NsTimer<S> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            NsTimer::SelfAdd { ops } => write!(f, "SelfAdd(×{})", ops.len()),
-            NsTimer::Execute { ts } => write!(f, "Execute(≤ {ts})"),
-            NsTimer::MutatorRespond { resps } => write!(f, "MutatorRespond(×{})", resps.len()),
-            NsTimer::AccessorRespond { ops } => write!(f, "AccessorRespond(×{})", ops.len()),
-        }
-    }
-}
-
-/// An entry of the `To_Execute` priority queue.
-struct Queued<S: SequentialSpec> {
-    ts: Timestamp,
-    op: NsOp<S::Op>,
-}
-
-impl<S: SequentialSpec> PartialEq for Queued<S> {
-    fn eq(&self, other: &Self) -> bool {
-        self.ts == other.ts
-    }
-}
-impl<S: SequentialSpec> Eq for Queued<S> {}
-impl<S: SequentialSpec> PartialOrd for Queued<S> {
-    fn partial_cmp(&self, other: &Self) -> Option<core::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<S: SequentialSpec> Ord for Queued<S> {
-    fn cmp(&self, other: &Self) -> core::cmp::Ordering {
-        self.ts.cmp(&other.ts)
-    }
-}
+/// The object an [`NsReplica`] group replicates: batches of keyed ops
+/// on a namespace of `S` objects.
+pub type BatchedNamespace<S> = Batch<Namespace<S>>;
 
 /// One process of the batched namespace replica group.
-///
-/// Only **pure** batches are supported: every op of a batch must be a
-/// pure mutator, or every op a pure accessor (the `OOP` class couples
-/// each response to its own execution instant, which has no batched
-/// analogue — invoke those through [`Replica`](crate::replica::Replica)).
 ///
 /// # Examples
 ///
@@ -190,246 +69,75 @@ impl<S: SequentialSpec> Ord for Queued<S> {
 /// );
 /// # Ok::<(), skewbound_core::params::ParamError>(())
 /// ```
-pub struct NsReplica<S: SequentialSpec> {
-    /// The per-key base spec, shared across the group.
-    inner: Arc<S>,
-    x: skewbound_sim::time::SimDuration,
-    profile: TimerProfile,
-    /// Per-key local states; untouched keys are absent (= inner initial).
-    local: BTreeMap<u64, S::State>,
-    to_execute: BinaryHeap<Reverse<Queued<S>>>,
-    /// Frame broadcasts as delivery batches (`true`) or per-op messages.
-    batched: bool,
-    /// Count of operations executed on the local copy (diagnostics).
-    executed: u64,
-}
+pub struct NsReplica<S: SequentialSpec>(Replica<BatchedNamespace<S>>);
 
 impl<S: SequentialSpec> fmt::Debug for NsReplica<S> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("NsReplica")
-            .field("keys", &self.local.len())
-            .field("queued", &self.to_execute.len())
-            .field("executed", &self.executed)
-            .field("batched", &self.batched)
-            .finish_non_exhaustive()
+        f.debug_tuple("NsReplica").field(&self.0).finish()
     }
 }
 
 impl<S: SequentialSpec> NsReplica<S> {
     /// A replica with the honest timer profile from `params`.
     #[must_use]
-    pub fn new(inner: S, params: &Params, batched: bool) -> Self {
-        Self::with_shared(Arc::new(inner), params, batched)
+    pub fn new(inner: S, params: &Params) -> Self {
+        NsReplica(Replica::new(Batch::new(Namespace::new(inner)), params))
     }
 
-    /// Like [`NsReplica::new`], but sharing an existing inner spec.
-    #[must_use]
-    pub fn with_shared(inner: Arc<S>, params: &Params, batched: bool) -> Self {
-        NsReplica {
-            inner,
-            x: params.x(),
-            profile: TimerProfile::from_params(params),
-            local: BTreeMap::new(),
-            to_execute: BinaryHeap::new(),
-            batched,
-            executed: 0,
-        }
-    }
-
-    /// One replica per process, sharing the inner spec.
+    /// One replica per process, sharing one spec.
+    ///
+    /// `batched` must be `true`. It is what is left of a per-op message
+    /// framing option that no longer exists (a batch is one op with one
+    /// timestamp, so it is one message); the parameter is kept only so
+    /// the benchmark harness under `skewbench/` keeps compiling.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `batched` is `false`.
     #[must_use]
     pub fn group(inner: S, params: &Params, batched: bool) -> Vec<Self> {
-        let inner = Arc::new(inner);
-        (0..params.n())
-            .map(|_| Self::with_shared(Arc::clone(&inner), params, batched))
+        assert!(batched, "per-op framing is gone: a batch is one message");
+        Replica::group(Batch::new(Namespace::new(inner)), params)
+            .into_iter()
+            .map(NsReplica)
             .collect()
     }
 
     /// Per-key local states (absent keys are at the inner initial state).
     #[must_use]
     pub fn local_states(&self) -> &BTreeMap<u64, S::State> {
-        &self.local
+        self.0.local_state()
     }
 
-    /// Number of operations executed on the local copy so far.
+    /// Number of batches executed on the local copy so far.
     #[must_use]
     pub fn executed(&self) -> u64 {
-        self.executed
+        self.0.executed()
     }
 
-    /// Number of operations waiting in `To_Execute`.
+    /// Number of batches waiting in `To_Execute`.
     #[must_use]
     pub fn queued_len(&self) -> usize {
-        self.to_execute.len()
-    }
-
-    /// Applies `op` to the touched key's entry in place, committing the
-    /// new state and returning the response.
-    fn apply_local(&mut self, op: &NsOp<S::Op>) -> S::Resp {
-        let inner = &self.inner;
-        let st = self.local.entry(op.key).or_insert_with(|| inner.initial());
-        let (next, resp) = inner.apply(st, &op.op);
-        *st = next;
-        self.executed += 1;
-        resp
-    }
-
-    /// Reads `op`'s response off the current local copy without
-    /// committing state (sound for pure accessors, which are
-    /// state-preserving, and for pure mutators, whose responses are
-    /// state-independent).
-    fn read_local(&self, op: &NsOp<S::Op>) -> S::Resp {
-        match self.local.get(&op.key) {
-            Some(st) => self.inner.apply(st, &op.op).1,
-            None => {
-                let init = self.inner.initial();
-                self.inner.apply(&init, &op.op).1
-            }
-        }
-    }
-
-    /// Executes every queued operation with timestamp `≤ bound` (or
-    /// `< bound` when `inclusive` is false) in timestamp order.
-    fn execute_up_to(&mut self, bound: Timestamp, inclusive: bool) {
-        while let Some(Reverse(head)) = self.to_execute.peek() {
-            let within = if inclusive {
-                head.ts <= bound
-            } else {
-                head.ts < bound
-            };
-            if !within {
-                break;
-            }
-            let Reverse(entry) = self.to_execute.pop().expect("peeked");
-            let _ = self.apply_local(&entry.op);
-        }
-    }
-
-    /// Pushes a batch and sets the single hold timer at its largest
-    /// timestamp.
-    fn enqueue_batch<I>(&mut self, pairs: I, ctx: &mut Context<'_, Self>)
-    where
-        I: IntoIterator<Item = (Timestamp, NsOp<S::Op>)>,
-    {
-        let mut max_ts: Option<Timestamp> = None;
-        for (ts, op) in pairs {
-            max_ts = Some(max_ts.map_or(ts, |m| m.max(ts)));
-            self.to_execute.push(Reverse(Queued { ts, op }));
-        }
-        if let Some(ts) = max_ts {
-            ctx.set_timer(self.profile.hold, NsTimer::Execute { ts });
-        }
-    }
-
-    /// The (single) class of `batch`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an empty batch, a mixed-class batch, or an `Other`-class
-    /// op (unsupported here; see the type docs).
-    fn batch_class(&self, batch: &[NsOp<S::Op>]) -> OpClass {
-        let class = self
-            .inner
-            .class(&batch.first().expect("empty batch invoked").op);
-        assert!(
-            class != OpClass::Other,
-            "NsReplica batches must be pure mutators or pure accessors"
-        );
-        for op in &batch[1..] {
-            assert!(
-                self.inner.class(&op.op) == class,
-                "mixed-class batch: {:?} is not {class:?}",
-                op.op
-            );
-        }
-        class
+        self.0.queued_len()
     }
 }
 
 impl<S: SequentialSpec> Actor for NsReplica<S> {
-    type Msg = NsOpMsg<S>;
+    type Msg = OpMsg<BatchedNamespace<S>>;
     type Op = Vec<NsOp<S::Op>>;
     type Resp = Vec<S::Resp>;
-    type Timer = NsTimer<S>;
+    type Timer = ReplicaTimer<BatchedNamespace<S>>;
 
-    fn on_invoke(&mut self, batch: Vec<NsOp<S::Op>>, ctx: &mut Context<'_, Self>) {
-        match self.batch_class(&batch) {
-            OpClass::PureAccessor => {
-                let (clock, pid) = (ctx.clock(), ctx.pid());
-                let ops: Vec<_> = batch
-                    .into_iter()
-                    .enumerate()
-                    .map(|(j, op)| {
-                        (
-                            Timestamp::accessor_with_seq(clock, self.x, pid, j as u32),
-                            op,
-                        )
-                    })
-                    .collect();
-                ctx.set_timer(self.profile.accessor_wait, NsTimer::AccessorRespond { ops });
-            }
-            _ => {
-                let (clock, pid) = (ctx.clock(), ctx.pid());
-                // Pure-mutator responses are state-independent, so the
-                // whole response vector is computable at invocation.
-                let resps: Vec<_> = batch.iter().map(|op| self.read_local(op)).collect();
-                let msgs: Vec<NsOpMsg<S>> = batch
-                    .into_iter()
-                    .enumerate()
-                    .map(|(j, op)| NsOpMsg {
-                        ts: Timestamp::with_seq(clock, pid, j as u32),
-                        op,
-                    })
-                    .collect();
-                if self.batched {
-                    ctx.broadcast_batch(&msgs);
-                } else {
-                    for msg in &msgs {
-                        ctx.broadcast(msg.clone());
-                    }
-                }
-                let ops = msgs.into_iter().map(|m| (m.ts, m.op)).collect();
-                ctx.set_timer(self.profile.self_add, NsTimer::SelfAdd { ops });
-                ctx.set_timer(self.profile.mutator_wait, NsTimer::MutatorRespond { resps });
-            }
-        }
+    fn on_invoke(&mut self, batch: Self::Op, ctx: &mut Context<'_, Self>) {
+        self.0.handle_invoke(batch, ctx);
     }
 
-    fn on_message(&mut self, _from: ProcessId, msg: NsOpMsg<S>, ctx: &mut Context<'_, Self>) {
-        self.to_execute.push(Reverse(Queued {
-            ts: msg.ts,
-            op: msg.op,
-        }));
-        ctx.set_timer(self.profile.hold, NsTimer::Execute { ts: msg.ts });
+    fn on_message(&mut self, _from: ProcessId, msg: Self::Msg, ctx: &mut Context<'_, Self>) {
+        self.0.handle_message(msg, ctx);
     }
 
-    fn on_message_batch(
-        &mut self,
-        _from: ProcessId,
-        msgs: Vec<NsOpMsg<S>>,
-        ctx: &mut Context<'_, Self>,
-    ) {
-        // One hold timer at the batch's largest timestamp — the single
-        // timestamp pass (see the module docs).
-        self.enqueue_batch(msgs.into_iter().map(|m| (m.ts, m.op)), ctx);
-    }
-
-    fn on_timer(&mut self, timer: NsTimer<S>, ctx: &mut Context<'_, Self>) {
-        match timer {
-            NsTimer::SelfAdd { ops } => self.enqueue_batch(ops, ctx),
-            NsTimer::Execute { ts } => self.execute_up_to(ts, true),
-            NsTimer::MutatorRespond { resps } => ctx.respond(resps),
-            NsTimer::AccessorRespond { ops } => {
-                let first = ops.first().expect("empty accessor batch").0;
-                self.execute_up_to(first, false);
-                // The batch's timestamps are adjacent in the global
-                // order (same clock/pid, consecutive seq), so reading
-                // back to back observes exactly the executions below
-                // each op's own timestamp.
-                let resps = ops.iter().map(|(_, op)| self.read_local(op)).collect();
-                ctx.respond(resps);
-            }
-        }
+    fn on_timer(&mut self, timer: Self::Timer, ctx: &mut Context<'_, Self>) {
+        self.0.handle_timer(timer, ctx);
     }
 }
 
@@ -457,10 +165,10 @@ mod tests {
         SimTime::from_ticks(x)
     }
 
-    fn run(batched: bool) -> History<Vec<NsOp<RmwOp>>, Vec<RmwResp>> {
+    fn run() -> History<Vec<NsOp<RmwOp>>, Vec<RmwResp>> {
         let params = params(3);
         let mut sim = Simulation::new(
-            NsReplica::group(RmwRegister::default(), &params, batched),
+            NsReplica::group(RmwRegister::default(), &params, true),
             ClockAssignment::zero(3),
             UniformDelay::new(params.delay_bounds(), 7),
         );
@@ -488,7 +196,7 @@ mod tests {
 
     #[test]
     fn batched_mutators_are_visible_to_later_accessors() {
-        let h = run(true);
+        let h = run();
         assert!(h.is_complete());
         assert_eq!(
             h.records()[2].resp(),
@@ -501,22 +209,8 @@ mod tests {
     }
 
     #[test]
-    fn batching_changes_framing_not_outcomes() {
-        // Timer placement and timestamps are identical either way; only
-        // the wire framing differs, so the histories must match exactly.
-        let batched = run(true);
-        let unbatched = run(false);
-        assert_eq!(batched.records().len(), unbatched.records().len());
-        for (a, b) in batched.records().iter().zip(unbatched.records()) {
-            assert_eq!(a.op, b.op);
-            assert_eq!(a.response, b.response);
-            assert_eq!(a.invoked_at, b.invoked_at);
-        }
-    }
-
-    #[test]
     fn mutator_batch_responds_at_eps_plus_x() {
-        let h = run(true);
+        let h = run();
         let params = params(3);
         assert_eq!(
             h.records()[0].latency().unwrap(),
@@ -547,36 +241,61 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "pure mutators or pure accessors")]
-    fn oop_batches_are_rejected() {
-        let params = params(2);
+    fn oop_and_mixed_batches_are_linearizable() {
+        // Batches that are not class-pure run as `Other`-class ops: one
+        // timestamp, respond on execution within d + ε.
+        let params = params(3);
         let mut sim = Simulation::new(
             NsReplica::group(RmwRegister::default(), &params, true),
-            ClockAssignment::zero(2),
-            UniformDelay::new(params.delay_bounds(), 1),
+            ClockAssignment::spread(3, params.eps()),
+            UniformDelay::new(params.delay_bounds(), 5),
         );
-        sim.schedule_invoke(
-            p(0),
-            t(0),
-            vec![NsOp::new(0, RmwOp::Rmw(RmwKind::FetchAdd(1)))],
+        let fetch_add = |key, delta| NsOp::new(key, RmwOp::Rmw(RmwKind::FetchAdd(delta)));
+        let scripts = [
+            vec![
+                vec![fetch_add(1, 1), NsOp::new(2, RmwOp::Write(7))],
+                vec![NsOp::new(1, RmwOp::Read), NsOp::new(2, RmwOp::Read)],
+                vec![fetch_add(2, 3), fetch_add(2, 3), NsOp::new(2, RmwOp::Read)],
+            ],
+            vec![
+                vec![NsOp::new(1, RmwOp::Write(4)), NsOp::new(1, RmwOp::Read)],
+                vec![fetch_add(1, 10)],
+                vec![],
+            ],
+            vec![
+                vec![NsOp::new(2, RmwOp::Read), fetch_add(1, 2)],
+                vec![NsOp::new(1, RmwOp::Write(1)), NsOp::new(2, RmwOp::Write(2))],
+                vec![NsOp::new(1, RmwOp::Read)],
+            ],
+        ];
+        for (i, script) in scripts.into_iter().enumerate() {
+            for (k, batch) in script.into_iter().enumerate() {
+                sim.schedule_invoke(p(i as u32), t(k as u64 * 400 + i as u64 * 13), batch);
+            }
+        }
+        sim.run().unwrap();
+        let h = sim.into_history();
+        assert!(h.is_complete());
+        let bound = crate::bounds::ub_oop(&params);
+        for rec in h.records() {
+            assert!(rec.latency().unwrap() <= bound, "{rec:?} slower than d + ε");
+        }
+        // A batch's ops execute back to back: the write in p1's
+        // write-then-read batch is what its read sees.
+        assert_eq!(
+            h.records()[1].resp(),
+            Some(&vec![RmwResp::Ack, RmwResp::Value(4)])
         );
-        let _ = sim.run();
+        let gate = skewbound_lin::check_namespace(
+            &RmwRegister::default(),
+            &skewbound_lin::flatten_batches(&h),
+        );
+        assert!(gate.is_linearizable(), "keys {:?}", gate.violating_keys());
     }
 
     #[test]
-    #[should_panic(expected = "mixed-class batch")]
-    fn mixed_batches_are_rejected() {
-        let params = params(2);
-        let mut sim = Simulation::new(
-            NsReplica::group(RmwRegister::default(), &params, true),
-            ClockAssignment::zero(2),
-            UniformDelay::new(params.delay_bounds(), 1),
-        );
-        sim.schedule_invoke(
-            p(0),
-            t(0),
-            vec![NsOp::new(0, RmwOp::Write(1)), NsOp::new(1, RmwOp::Read)],
-        );
-        let _ = sim.run();
+    #[should_panic(expected = "per-op framing is gone")]
+    fn per_op_framing_is_rejected() {
+        let _ = NsReplica::group(RmwRegister::default(), &params(2), false);
     }
 }

@@ -35,6 +35,7 @@ use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 use skewbound_sim::actor::{Actor, Context};
+use skewbound_sim::ids::ProcessId;
 use skewbound_sim::time::SimDuration;
 use skewbound_spec::seqspec::{OpClass, SequentialSpec};
 
@@ -378,7 +379,10 @@ impl<S: SequentialSpec> Replica<S> {
         &self.profile
     }
 
-    fn enqueue(&mut self, op: S::Op, ts: Timestamp, ctx: &mut Context<'_, Self>) {
+    fn enqueue<A>(&mut self, op: S::Op, ts: Timestamp, ctx: &mut Context<'_, A>)
+    where
+        A: Actor<Msg = OpMsg<S>, Timer = ReplicaTimer<S>, Resp = S::Resp>,
+    {
         self.to_execute.push(Reverse(Queued { ts, op }));
         ctx.set_timer(self.profile.hold, ReplicaTimer::Execute { ts });
     }
@@ -386,7 +390,10 @@ impl<S: SequentialSpec> Replica<S> {
     /// Executes every queued operation with timestamp `≤ bound` (or
     /// `< bound` when `inclusive` is false) in timestamp order, responding
     /// if one of them is this process's own pending `OOP` operation.
-    fn execute_up_to(&mut self, bound: Timestamp, inclusive: bool, ctx: &mut Context<'_, Self>) {
+    fn execute_up_to<A>(&mut self, bound: Timestamp, inclusive: bool, ctx: &mut Context<'_, A>)
+    where
+        A: Actor<Msg = OpMsg<S>, Timer = ReplicaTimer<S>, Resp = S::Resp>,
+    {
         while let Some(Reverse(head)) = self.to_execute.peek() {
             let within = if inclusive {
                 head.ts <= bound
@@ -397,13 +404,78 @@ impl<S: SequentialSpec> Replica<S> {
                 break;
             }
             let Reverse(entry) = self.to_execute.pop().expect("peeked");
-            let (next, resp) = self.spec.apply(&self.local, &entry.op);
-            self.local = next;
+            let resp = self.spec.apply_in_place(&mut self.local, &entry.op);
             self.executed += 1;
             self.executed_order.push(entry.ts);
             if self.own_other_pending == Some(entry.ts) {
                 self.own_other_pending = None;
                 ctx.respond(resp);
+            }
+        }
+    }
+
+    /// [`Actor::on_invoke`] for any actor `A` whose messages, timers
+    /// and responses are this replica's: the replica itself, or a
+    /// wrapper such as [`NsReplica`](crate::nsreplica::NsReplica) that
+    /// only delegates.
+    pub fn handle_invoke<A>(&mut self, op: S::Op, ctx: &mut Context<'_, A>)
+    where
+        A: Actor<Msg = OpMsg<S>, Timer = ReplicaTimer<S>, Resp = S::Resp>,
+    {
+        match self.spec.class(&op) {
+            OpClass::PureAccessor => {
+                let ts = Timestamp::accessor(ctx.clock(), self.x, ctx.pid());
+                ctx.set_timer(
+                    self.profile.accessor_wait,
+                    ReplicaTimer::AccessorRespond { op, ts },
+                );
+            }
+            class => {
+                let ts = Timestamp::new(ctx.clock(), ctx.pid());
+                // A pure mutator's response is state-independent
+                // (verified by `classify::check_class_consistency`), so
+                // it can be computed now and delivered at `ε + X`.
+                let early =
+                    (class == OpClass::PureMutator).then(|| self.spec.peek(&self.local, &op));
+                ctx.broadcast(OpMsg { op: op.clone(), ts });
+                ctx.set_timer(self.profile.self_add, ReplicaTimer::SelfAdd { op, ts });
+                match early {
+                    Some(resp) => {
+                        ctx.set_timer(
+                            self.profile.mutator_wait,
+                            ReplicaTimer::MutatorRespond { resp },
+                        );
+                    }
+                    None => self.own_other_pending = Some(ts),
+                }
+            }
+        }
+    }
+
+    /// [`Actor::on_message`] for a host actor `A` (see
+    /// [`Replica::handle_invoke`]).
+    pub fn handle_message<A>(&mut self, msg: OpMsg<S>, ctx: &mut Context<'_, A>)
+    where
+        A: Actor<Msg = OpMsg<S>, Timer = ReplicaTimer<S>, Resp = S::Resp>,
+    {
+        self.enqueue(msg.op, msg.ts, ctx);
+    }
+
+    /// [`Actor::on_timer`] for a host actor `A` (see
+    /// [`Replica::handle_invoke`]).
+    pub fn handle_timer<A>(&mut self, timer: ReplicaTimer<S>, ctx: &mut Context<'_, A>)
+    where
+        A: Actor<Msg = OpMsg<S>, Timer = ReplicaTimer<S>, Resp = S::Resp>,
+    {
+        match timer {
+            ReplicaTimer::SelfAdd { op, ts } => self.enqueue(op, ts, ctx),
+            ReplicaTimer::Execute { ts } => self.execute_up_to(ts, true, ctx),
+            ReplicaTimer::MutatorRespond { resp } => ctx.respond(resp),
+            ReplicaTimer::AccessorRespond { op, ts } => {
+                self.execute_up_to(ts, false, ctx);
+                // Pure accessors read without committing state (they are
+                // state-preserving by class consistency).
+                ctx.respond(self.spec.peek(&self.local, &op));
             }
         }
     }
@@ -416,83 +488,15 @@ impl<S: SequentialSpec> Actor for Replica<S> {
     type Timer = ReplicaTimer<S>;
 
     fn on_invoke(&mut self, op: S::Op, ctx: &mut Context<'_, Self>) {
-        match self.spec.class(&op) {
-            OpClass::PureAccessor => {
-                let ts = Timestamp::accessor(ctx.clock(), self.x, ctx.pid());
-                ctx.set_timer(
-                    self.profile.accessor_wait,
-                    ReplicaTimer::AccessorRespond { op, ts },
-                );
-            }
-            class => {
-                let ts = Timestamp::new(ctx.clock(), ctx.pid());
-                ctx.broadcast(OpMsg { op: op.clone(), ts });
-                ctx.set_timer(
-                    self.profile.self_add,
-                    ReplicaTimer::SelfAdd { op: op.clone(), ts },
-                );
-                if class == OpClass::PureMutator {
-                    // A pure mutator's response is state-independent
-                    // (verified by `classify::check_class_consistency`),
-                    // so it can be computed now and delivered at `ε + X`.
-                    let resp = self.spec.apply(&self.local, &op).1;
-                    ctx.set_timer(
-                        self.profile.mutator_wait,
-                        ReplicaTimer::MutatorRespond { resp },
-                    );
-                } else {
-                    self.own_other_pending = Some(ts);
-                }
-            }
-        }
+        self.handle_invoke(op, ctx);
     }
 
-    fn on_message(
-        &mut self,
-        _from: skewbound_sim::ids::ProcessId,
-        msg: OpMsg<S>,
-        ctx: &mut Context<'_, Self>,
-    ) {
-        self.enqueue(msg.op, msg.ts, ctx);
-    }
-
-    fn on_message_batch(
-        &mut self,
-        _from: skewbound_sim::ids::ProcessId,
-        msgs: Vec<OpMsg<S>>,
-        ctx: &mut Context<'_, Self>,
-    ) {
-        // Every op of a delivery batch arrives at one instant and shares
-        // one hold deadline, so a single `Execute` timer at the largest
-        // timestamp stands in for the per-op timers: `execute_up_to` is
-        // inclusive and timestamp-ordered, so firing once at the max
-        // executes each batched op exactly when its own timer would have.
-        let mut max_ts: Option<Timestamp> = None;
-        for msg in msgs {
-            max_ts = Some(max_ts.map_or(msg.ts, |m| m.max(msg.ts)));
-            self.to_execute.push(Reverse(Queued {
-                ts: msg.ts,
-                op: msg.op,
-            }));
-        }
-        if let Some(ts) = max_ts {
-            ctx.set_timer(self.profile.hold, ReplicaTimer::Execute { ts });
-        }
+    fn on_message(&mut self, _from: ProcessId, msg: OpMsg<S>, ctx: &mut Context<'_, Self>) {
+        self.handle_message(msg, ctx);
     }
 
     fn on_timer(&mut self, timer: ReplicaTimer<S>, ctx: &mut Context<'_, Self>) {
-        match timer {
-            ReplicaTimer::SelfAdd { op, ts } => self.enqueue(op, ts, ctx),
-            ReplicaTimer::Execute { ts } => self.execute_up_to(ts, true, ctx),
-            ReplicaTimer::MutatorRespond { resp } => ctx.respond(resp),
-            ReplicaTimer::AccessorRespond { op, ts } => {
-                self.execute_up_to(ts, false, ctx);
-                // Pure accessors read without committing state (they are
-                // state-preserving by class consistency).
-                let (_, resp) = self.spec.apply(&self.local, &op);
-                ctx.respond(resp);
-            }
-        }
+        self.handle_timer(timer, ctx);
     }
 }
 

@@ -62,8 +62,6 @@ pub struct ShardWorkload {
     pub batches_per_process: usize,
     /// Operations per batch.
     pub batch: usize,
-    /// Frame broadcasts as delivery batches (`true`) or per-op messages.
-    pub batched: bool,
     /// Workload seed; each shard derives its own stream from it.
     pub seed: u64,
 }
@@ -84,7 +82,6 @@ impl ShardWorkload {
         total_objects: u64,
         total_batches: usize,
         batch: usize,
-        batched: bool,
         seed: u64,
     ) -> Self {
         let slots = shards * processes as usize;
@@ -98,7 +95,6 @@ impl ShardWorkload {
             total_objects,
             batches_per_process: total_batches / slots,
             batch,
-            batched,
             seed,
         }
     }
@@ -181,7 +177,7 @@ pub fn run_shard(workload: &ShardWorkload, shard: usize) -> ShardOutcome {
         },
     );
     let mut sim = Simulation::new(
-        NsReplica::group(RmwRegister::default(), &params, workload.batched),
+        NsReplica::group(RmwRegister::default(), &params, true),
         ClockAssignment::zero(workload.processes as usize),
         FixedDelay::maximal(params.delay_bounds()),
     );
@@ -221,21 +217,20 @@ pub fn run_sharded(workload: &ShardWorkload) -> Vec<ShardOutcome> {
 mod tests {
     use super::*;
 
-    fn workload(shards: usize, batched: bool) -> ShardWorkload {
+    fn workload(shards: usize) -> ShardWorkload {
         ShardWorkload {
             shards,
             processes: 3,
             total_objects: 64,
             batches_per_process: 4,
             batch: 3,
-            batched,
             seed: 11,
         }
     }
 
     #[test]
     fn shards_complete_and_stay_inside_their_keys() {
-        let w = workload(4, true);
+        let w = workload(4);
         let router = ShardRouter::new(4);
         let outcomes = run_sharded(&w);
         assert_eq!(outcomes.len(), 4);
@@ -253,7 +248,7 @@ mod tests {
 
     #[test]
     fn shard_histories_are_deterministic() {
-        let w = workload(2, true);
+        let w = workload(2);
         let a = run_sharded(&w);
         let b = run_sharded(&w);
         for (x, y) in a.iter().zip(&b) {
@@ -267,21 +262,9 @@ mod tests {
     }
 
     #[test]
-    fn batching_does_not_change_shard_histories() {
-        let on = run_sharded(&workload(2, true));
-        let off = run_sharded(&workload(2, false));
-        for (x, y) in on.iter().zip(&off) {
-            for (rx, ry) in x.history.records().iter().zip(y.history.records()) {
-                assert_eq!(rx.op, ry.op);
-                assert_eq!(rx.response, ry.response);
-            }
-        }
-    }
-
-    #[test]
     fn total_batches_divide_across_shard_counts() {
         for shards in [1, 2, 4, 8] {
-            let w = ShardWorkload::with_total_batches(shards, 3, 256, 96, 4, true, 1);
+            let w = ShardWorkload::with_total_batches(shards, 3, 256, 96, 4, 1);
             assert_eq!(w.shards * w.processes as usize * w.batches_per_process, 96);
         }
     }

@@ -5,11 +5,8 @@
 //! Pure accessors get the timestamp `⟨local_time − X, pid⟩`, "pretending"
 //! they were invoked `X` earlier (Chapter V §A.2).
 //!
-//! Batched invocations (the sharded namespace layer) need several
-//! timestamps from one `⟨clock, pid⟩` instant, so the timestamp carries a
-//! third `seq` component that orders ops *within* one batch. Single-op
-//! timestamps always use `seq = 0`, which compares and prints exactly as
-//! the paper's two-component timestamps.
+//! A batched invocation of the sharded namespace layer is one op of a
+//! `Batch` spec, so it takes one timestamp like any other op.
 
 use core::fmt;
 
@@ -17,7 +14,7 @@ use skewbound_sim::ids::ProcessId;
 use skewbound_sim::time::{ClockTime, SimDuration};
 
 /// A totally ordered operation timestamp: clock time first, process id as
-/// tie-breaker, then the batch sequence number.
+/// tie-breaker.
 ///
 /// # Examples
 ///
@@ -37,24 +34,13 @@ pub struct Timestamp {
     pub time: ClockTime,
     /// The invoking process.
     pub pid: ProcessId,
-    /// Position within a batched invocation; `0` for single ops. Ordered
-    /// after `pid`, so a batch's ops form a contiguous run in timestamp
-    /// order that no foreign timestamp can interleave.
-    pub seq: u32,
 }
 
 impl Timestamp {
-    /// Creates a timestamp (with `seq = 0`).
+    /// Creates a timestamp.
     #[must_use]
     pub fn new(time: ClockTime, pid: ProcessId) -> Self {
-        Timestamp { time, pid, seq: 0 }
-    }
-
-    /// Creates the timestamp of the `seq`-th op in a batch invoked at
-    /// `time`.
-    #[must_use]
-    pub fn with_seq(time: ClockTime, pid: ProcessId, seq: u32) -> Self {
-        Timestamp { time, pid, seq }
+        Timestamp { time, pid }
     }
 
     /// The accessor timestamp: `time − x`.
@@ -63,41 +49,19 @@ impl Timestamp {
         Timestamp {
             time: time - x,
             pid,
-            seq: 0,
         }
-    }
-
-    /// The accessor timestamp of the `seq`-th op in a batch.
-    #[must_use]
-    pub fn accessor_with_seq(time: ClockTime, x: SimDuration, pid: ProcessId, seq: u32) -> Self {
-        Timestamp {
-            time: time - x,
-            pid,
-            seq,
-        }
-    }
-}
-
-/// Shared `⟨time,pid⟩` / `⟨time,pid,#seq⟩` rendering for Debug and
-/// Display: the `seq` component is elided when zero so single-op
-/// timestamps keep the paper's two-component notation.
-fn fmt_ts(ts: &Timestamp, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-    if ts.seq == 0 {
-        write!(f, "⟨{},{}⟩", ts.time, ts.pid)
-    } else {
-        write!(f, "⟨{},{},#{}⟩", ts.time, ts.pid, ts.seq)
-    }
-}
-
-impl fmt::Debug for Timestamp {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fmt_ts(self, f)
     }
 }
 
 impl fmt::Display for Timestamp {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fmt_ts(self, f)
+        write!(f, "⟨{},{}⟩", self.time, self.pid)
+    }
+}
+
+impl fmt::Debug for Timestamp {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Display::fmt(self, f)
     }
 }
 
@@ -127,21 +91,5 @@ mod tests {
     fn display_format() {
         let ts = Timestamp::new(ClockTime::from_ticks(-2), ProcessId::new(3));
         assert_eq!(format!("{ts}"), "⟨-2,p3⟩");
-    }
-
-    #[test]
-    fn seq_orders_within_batch_and_displays() {
-        let t = |c: i64, p: u32, s: u32| {
-            Timestamp::with_seq(ClockTime::from_ticks(c), ProcessId::new(p), s)
-        };
-        // Batch ops are contiguous: nothing from another process can sort
-        // between ⟨5,p1,#0⟩ and ⟨5,p1,#2⟩.
-        assert!(t(5, 1, 0) < t(5, 1, 1) && t(5, 1, 1) < t(5, 1, 2));
-        assert!(t(5, 1, 2) < t(5, 2, 0));
-        assert_eq!(
-            t(5, 1, 0),
-            Timestamp::new(ClockTime::from_ticks(5), ProcessId::new(1))
-        );
-        assert_eq!(format!("{}", t(5, 1, 2)), "⟨5,p1,#2⟩");
     }
 }

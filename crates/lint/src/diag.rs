@@ -102,8 +102,7 @@ pub fn catalog() -> &'static [RuleMeta] {
             code: "SB005",
             name: "timestamp-seq-discipline",
             severity: Severity::Error,
-            summary: "executed timestamps are strictly ascending and batch seq \
-                      components form contiguous runs from 0",
+            summary: "executed timestamps are strictly ascending",
         },
         RuleMeta {
             code: "SB101",

@@ -17,8 +17,8 @@
 //! * [`rules`] — the [`Rule`] trait, the [`Registry`], and the
 //!   static spec rules
 //!   `SB001`–`SB005` (routing, accessor purity, commutativity
-//!   declarations, namespace batch equivalence, timestamp seq
-//!   discipline) plus the payload-leak rule `SB105`;
+//!   declarations, namespace batch equivalence, executed-timestamp
+//!   order) plus the payload-leak rule `SB105`;
 //! * [`audit`] — the offline trace auditor: vector-clock
 //!   reconstruction over send/deliver/invoke/respond/timer records and
 //!   the trace rules `SB101`–`SB105` (delivery window, send/deliver

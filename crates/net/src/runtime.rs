@@ -326,7 +326,9 @@ struct ClientReq<O> {
 /// # Panics
 ///
 /// Panics on peer protocol violations (undecodable peer frames) and on
-/// transport failures — for a replica process both are fatal.
+/// transport failures — for a replica process both are fatal. An
+/// undecodable *client* request is not: it is dropped, reported as the
+/// `net/dropped_client_reqs` counter on `sink`, and serving goes on.
 pub fn run_server<S>(
     spec: S,
     cfg: &ServerConfig,
@@ -350,6 +352,7 @@ where
     // The (connection, request id) awaiting the pending op's response.
     let mut in_flight: Option<(u64, u64)> = None;
     let mut draining = false;
+    let mut dropped_client_reqs: u64 = 0;
     let grace = Duration::from_micros(2 * cfg.params.d().as_ticks());
     let mut last_activity = Instant::now();
 
@@ -477,15 +480,30 @@ where
             }) => {
                 last_activity = Instant::now();
                 match header.kind {
-                    FrameKind::ClientReq => {
-                        let op: S::Op =
-                            from_bytes(&payload).expect("client sent an undecodable operation");
-                        client_q.push_back(ClientReq {
+                    FrameKind::ClientReq => match from_bytes::<S::Op>(&payload) {
+                        Ok(op) => client_q.push_back(ClientReq {
                             conn,
                             req_id: header.msg_id,
                             op,
-                        });
-                    }
+                        }),
+                        // A client's garbage is its own problem: drop the
+                        // request (the client never gets a response) and
+                        // keep serving everyone else.
+                        Err(e) => {
+                            dropped_client_reqs += 1;
+                            // Log at powers of two so a flood of garbage
+                            // cannot flood the log.
+                            if dropped_client_reqs.is_power_of_two() {
+                                eprintln!(
+                                    "dropped {dropped_client_reqs} undecodable client \
+                                     request(s); latest from client {conn}: {e}"
+                                );
+                            }
+                            if let Some(sink) = trace.sink.as_mut() {
+                                sink.counter("net", "dropped_client_reqs", 1);
+                            }
+                        }
+                    },
                     FrameKind::Bye => draining = true,
                     _ => {}
                 }

@@ -440,15 +440,13 @@ impl Encode for Timestamp {
     fn encode(&self, w: &mut Wr) {
         self.time.encode(w);
         self.pid.encode(w);
-        w.u32(self.seq);
     }
 }
 impl Decode for Timestamp {
     fn decode(r: &mut Rd<'_>) -> Result<Self, WireError> {
         let time = ClockTime::decode(r)?;
         let pid = ProcessId::decode(r)?;
-        let seq = r.u32("Timestamp::seq")?;
-        Ok(Timestamp::with_seq(time, pid, seq))
+        Ok(Timestamp::new(time, pid))
     }
 }
 

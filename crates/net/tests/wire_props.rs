@@ -53,10 +53,9 @@ fn val(rng: &mut StdRng) -> i64 {
 }
 
 fn timestamp(rng: &mut StdRng) -> Timestamp {
-    Timestamp::with_seq(
+    Timestamp::new(
         ClockTime::from_ticks(rng.gen_range(-50_000i64..=50_000)),
         ProcessId::new(rng.gen_range(0u32..8)),
-        rng.gen_range(0u32..1000),
     )
 }
 

@@ -10,7 +10,8 @@
 //!
 //! * [`MultiObject`] — a fixed-size array of same-typed objects,
 //!   addressed by index;
-//! * [`ProductSpec`] — two differently-typed objects side by side.
+//! * [`ProductSpec`] — two differently-typed objects side by side;
+//! * [`Batch`] — a sequence of ops applied back to back as one op.
 //!
 //! Herlihy & Wing's *locality* theorem says a history is linearizable iff
 //! each per-object sub-history is; the integration tests exercise that as
@@ -196,6 +197,90 @@ impl<A: SequentialSpec, B: SequentialSpec> SequentialSpec for ProductSpec<A, B> 
     }
 }
 
+/// Batches of `inner` ops: one op of `Batch<S>` is a `Vec` of `S` ops
+/// applied back to back, and its response is the `Vec` of their
+/// responses.
+///
+/// A batch is itself a deterministic data type, so Algorithm 1 runs it
+/// unchanged: one timestamp, one broadcast and one set of timers per
+/// batch. Its [`OpClass`] is the common class of its ops when they are
+/// all pure mutators or all pure accessors, and
+/// [`OpClass::Other`] otherwise. The empty batch reads nothing and
+/// changes nothing; it is a pure accessor.
+///
+/// # Examples
+///
+/// ```
+/// use skewbound_spec::combinators::Batch;
+/// use skewbound_spec::prelude::*;
+///
+/// let spec = Batch::new(RmwRegister::default());
+/// let (s, r) = spec.apply(&spec.initial(), &vec![RmwOp::Write(4), RmwOp::Read]);
+/// assert_eq!(s, 4);
+/// assert_eq!(r, vec![RmwResp::Ack, RmwResp::Value(4)]);
+/// assert_eq!(spec.class(&vec![RmwOp::Write(4), RmwOp::Read]), OpClass::Other);
+/// assert_eq!(spec.class(&vec![RmwOp::Read, RmwOp::Read]), OpClass::PureAccessor);
+/// ```
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Batch<S> {
+    inner: S,
+}
+
+impl<S: SequentialSpec> Batch<S> {
+    /// Batches of `inner` ops.
+    #[must_use]
+    pub fn new(inner: S) -> Self {
+        Batch { inner }
+    }
+
+    /// The specification of one op of a batch.
+    #[must_use]
+    pub fn inner(&self) -> &S {
+        &self.inner
+    }
+}
+
+impl<S: SequentialSpec> SequentialSpec for Batch<S> {
+    type State = S::State;
+    type Op = Vec<S::Op>;
+    type Resp = Vec<S::Resp>;
+
+    fn initial(&self) -> S::State {
+        self.inner.initial()
+    }
+
+    fn apply(&self, state: &S::State, ops: &Vec<S::Op>) -> (S::State, Vec<S::Resp>) {
+        self.inner.run(state, ops)
+    }
+
+    fn apply_in_place(&self, state: &mut S::State, ops: &Vec<S::Op>) -> Vec<S::Resp> {
+        ops.iter()
+            .map(|op| self.inner.apply_in_place(state, op))
+            .collect()
+    }
+
+    fn peek(&self, state: &S::State, ops: &Vec<S::Op>) -> Vec<S::Resp> {
+        if self.class(ops) == OpClass::Other {
+            // A later op may read an earlier one's write: commit the
+            // batch on a scratch copy.
+            return self.apply_in_place(&mut state.clone(), ops);
+        }
+        // Pure accessors leave the state alone and pure mutators'
+        // responses do not depend on it, so every op of a pure batch can
+        // be read off the same state.
+        ops.iter().map(|op| self.inner.peek(state, op)).collect()
+    }
+
+    fn class(&self, ops: &Vec<S::Op>) -> OpClass {
+        let mut classes = ops.iter().map(|op| self.inner.class(op));
+        match classes.next() {
+            None => OpClass::PureAccessor,
+            Some(first) if first != OpClass::Other && classes.all(|c| c == first) => first,
+            Some(_) => OpClass::Other,
+        }
+    }
+}
+
 impl<O: fmt::Display> fmt::Display for IndexedOp<O> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "obj{}.{}", self.index, self.op)
@@ -205,8 +290,12 @@ impl<O: fmt::Display> fmt::Display for IndexedOp<O> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::classify::check_class_consistency;
     use crate::counter::{Counter, CounterOp, CounterResp};
+    use crate::namespace::{Namespace, NsOp};
+    use crate::probes;
     use crate::queue::{Queue, QueueOp, QueueResp};
+    use crate::register::{RmwOp, RmwRegister};
 
     fn at(index: usize, op: CounterOp) -> IndexedOp<CounterOp> {
         IndexedOp { index, op }
@@ -311,5 +400,78 @@ mod tests {
             spec.class(&EitherOp::Right(CounterOp::Read)),
             OpClass::PureAccessor
         );
+    }
+
+    /// The in-place and read-only paths must agree with `apply`, the
+    /// oracle, on every probe state.
+    fn assert_laws<S: SequentialSpec>(spec: &S, states: &[S::State], ops: &[S::Op]) {
+        for state in states {
+            for op in ops {
+                let (next, resp) = spec.apply(state, op);
+                let mut in_place = state.clone();
+                assert_eq!(spec.apply_in_place(&mut in_place, op), resp, "{op:?}");
+                assert_eq!(in_place, next, "apply_in_place({state:?}, {op:?})");
+                assert_eq!(spec.peek(state, op), resp, "peek({state:?}, {op:?})");
+            }
+        }
+    }
+
+    /// Every probe op, a write that returns a key to its initial value,
+    /// and a read of a key no probe state holds.
+    fn ns_ops() -> Vec<NsOp<RmwOp>> {
+        let mut ops = probes::ns_register_ops();
+        ops.push(NsOp::new(40, RmwOp::Write(0)));
+        ops.push(NsOp::new(99, RmwOp::Read));
+        ops
+    }
+
+    /// The empty batch, every single op, every ordered pair (pure and
+    /// mixed, same key and cross key), an all-reads batch and an
+    /// all-writes batch.
+    fn ns_batches() -> Vec<Vec<NsOp<RmwOp>>> {
+        let ops = ns_ops();
+        let mut batches = vec![Vec::new()];
+        batches.extend(ops.iter().map(|op| vec![op.clone()]));
+        for a in &ops {
+            for b in &ops {
+                batches.push(vec![a.clone(), b.clone()]);
+            }
+        }
+        let ns = Namespace::new(RmwRegister::default());
+        for class in [OpClass::PureAccessor, OpClass::PureMutator] {
+            batches.push(
+                ops.iter()
+                    .filter(|op| ns.class(op) == class)
+                    .cloned()
+                    .collect(),
+            );
+        }
+        batches
+    }
+
+    #[test]
+    fn namespace_in_place_and_peek_agree_with_apply() {
+        let ns = Namespace::new(RmwRegister::default());
+        assert_laws(&ns, &probes::ns_register_states(), &ns_ops());
+    }
+
+    #[test]
+    fn batch_in_place_and_peek_agree_with_apply() {
+        let spec = Batch::new(Namespace::new(RmwRegister::default()));
+        assert_laws(&spec, &probes::ns_register_states(), &ns_batches());
+    }
+
+    #[test]
+    fn batch_classes_are_consistent() {
+        let spec = Batch::new(Namespace::new(RmwRegister::default()));
+        let batches = ns_batches();
+        check_class_consistency(&spec, &probes::ns_register_states(), &batches).unwrap();
+        let classes: Vec<OpClass> = batches.iter().map(|b| spec.class(b)).collect();
+        for class in [OpClass::PureAccessor, OpClass::PureMutator, OpClass::Other] {
+            assert!(classes.contains(&class), "no {class:?} batch probed");
+        }
+        assert_eq!(spec.class(&Vec::new()), OpClass::PureAccessor);
+        let mixed = vec![NsOp::new(1, RmwOp::Write(1)), NsOp::new(2, RmwOp::Read)];
+        assert_eq!(spec.class(&mixed), OpClass::Other);
     }
 }

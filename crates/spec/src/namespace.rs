@@ -14,6 +14,7 @@
 //! runner (to partition the key universe) and workload generators (to
 //! keep every generated op inside its shard's key set).
 
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 
 use crate::seqspec::{OpClass, SequentialSpec};
@@ -43,6 +44,11 @@ impl<O> NsOp<O> {
 /// state are *absent* from the map, so two states are semantically equal
 /// iff they are structurally equal (the property sequence-equivalence
 /// checking relies on).
+///
+/// `apply` clones the map, which suits checking. The replica's paths,
+/// [`SequentialSpec::apply_in_place`] and [`SequentialSpec::peek`],
+/// touch only the op's key, and `apply_in_place` keeps the map
+/// canonical too.
 ///
 /// # Examples
 ///
@@ -98,6 +104,34 @@ impl<S: SequentialSpec> SequentialSpec for Namespace<S> {
             next.insert(op.key, after);
         }
         (next, resp)
+    }
+
+    fn apply_in_place(&self, state: &mut Self::State, op: &Self::Op) -> Self::Resp {
+        let init = self.inner.initial();
+        match state.entry(op.key) {
+            Entry::Occupied(mut entry) => {
+                let resp = self.inner.apply_in_place(entry.get_mut(), &op.op);
+                if *entry.get() == init {
+                    entry.remove();
+                }
+                resp
+            }
+            Entry::Vacant(entry) => {
+                let mut object = init.clone();
+                let resp = self.inner.apply_in_place(&mut object, &op.op);
+                if object != init {
+                    entry.insert(object);
+                }
+                resp
+            }
+        }
+    }
+
+    fn peek(&self, state: &Self::State, op: &Self::Op) -> Self::Resp {
+        match state.get(&op.key) {
+            Some(object) => self.inner.peek(object, &op.op),
+            None => self.inner.peek(&self.inner.initial(), &op.op),
+        }
     }
 
     fn class(&self, op: &Self::Op) -> OpClass {

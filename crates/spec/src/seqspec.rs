@@ -80,6 +80,28 @@ pub trait SequentialSpec {
     /// like `dequeue` on an empty queue return an "empty" response).
     fn apply(&self, state: &Self::State, op: &Self::Op) -> (Self::State, Self::Resp);
 
+    /// Applies `op` to `state` in place and returns the response: the
+    /// commit step of a replica's execution loop. Must agree with
+    /// [`SequentialSpec::apply`]; the default is exactly that. Specs
+    /// whose state is a collection of independent parts (a
+    /// [`Namespace`](crate::namespace::Namespace), a
+    /// [`Batch`](crate::combinators::Batch) of ops) override it to touch
+    /// only the parts the op names instead of cloning the whole state.
+    fn apply_in_place(&self, state: &mut Self::State, op: &Self::Op) -> Self::Resp {
+        let (next, resp) = self.apply(state, op);
+        *state = next;
+        resp
+    }
+
+    /// The response `op` would return from `state`, without committing
+    /// the successor state: how a replica reads a pure accessor and
+    /// precomputes a pure mutator's acknowledgment. Must agree with the
+    /// response of [`SequentialSpec::apply`]; the default is exactly
+    /// that.
+    fn peek(&self, state: &Self::State, op: &Self::Op) -> Self::Resp {
+        self.apply(state, op).1
+    }
+
     /// The operation's [`OpClass`], used by Algorithm 1 to pick its code
     /// path. Must be consistent with `apply`: a [`OpClass::PureAccessor`]
     /// must never change the state and a [`OpClass::PureMutator`]'s

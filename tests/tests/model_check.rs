@@ -52,6 +52,38 @@ fn honest_register_survives_full_exploration() {
     );
 }
 
+/// Batches are ops of the `Batch` spec, so the one Algorithm 1 runs
+/// them: a pure-mutator batch racing a mixed (`OOP`) batch, then a
+/// pure-accessor batch, must linearize at every corner.
+#[test]
+fn honest_batched_register_survives_full_exploration() {
+    let p = default_params();
+    let config = McConfig::corners(&p, probes::register_states());
+    assert_eq!(config.clock_choices.len(), 7);
+    let script = [
+        (pid(0), t(0), vec![RmwOp::Write(1), RmwOp::Write(3)]),
+        (
+            pid(1),
+            t(0),
+            vec![RmwOp::Write(2), RmwOp::Rmw(RmwKind::FetchAdd(1))],
+        ),
+        (pid(2), t(40_000), vec![RmwOp::Read, RmwOp::Read]),
+    ];
+    let spec = Batch::new(RmwRegister::default());
+    let report = model_check(
+        &spec,
+        || Replica::group(Batch::new(RmwRegister::default()), &p),
+        &p,
+        &script,
+        &config,
+    );
+    assert!(report.all_passed(), "violations: {:?}", report.violations);
+    assert_eq!(
+        report.messages, 4,
+        "one broadcast per mutating batch, the read batch is local"
+    );
+}
+
 /// The DPOR schedule count must be strictly below the naive baseline on
 /// a scenario with concurrent deliveries, and pruning must not change
 /// the verdict.

@@ -22,7 +22,6 @@ fn workload(shards: usize) -> ShardWorkload {
         total_objects: 128,
         batches_per_process: 6,
         batch: 4,
-        batched: true,
         seed: 0xABCD,
     }
 }
