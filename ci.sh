@@ -48,6 +48,28 @@ CARGO_TARGET_DIR=.bench_build cargo build --release --offline --locked \
 CARGO_TARGET_DIR=.bench_build cargo test --release --offline --locked \
   --manifest-path skewbench/Cargo.toml
 
+echo "== traced benchmark: every request matched to its replica's invoke =="
+# The traced mode matches the j-th invoke event at replica c to request
+# j of connection c, so the server must trace one invoke and one respond
+# per client request. A run that matches none of them cannot report its
+# per-layer metrics; this catches that before a benchmark run does.
+bench_log=target/skewbench-traced.log
+mkdir -p target
+bash skewbench/run.sh --workload net-queue-saturated --seed 1 --seconds 3 --trace 1 \
+  | tee "$bench_log"
+bench_last=$(tail -n 1 "$bench_log")
+for want in '"correct": true' '"failed": 0,'; do
+  if ! grep -qF "$want" <<<"$bench_last"; then
+    echo "traced benchmark result lacks $want: $bench_last" >&2
+    exit 1
+  fi
+done
+if ! grep -qF '(0 mismatched)' "$bench_log"; then
+  echo "traced benchmark left requests unmatched to replica invokes" >&2
+  exit 1
+fi
+echo "traced benchmark: correct, 0 failed, 0 mismatched"
+
 echo "== grid bench smoke + 100k-process scale run + shard scaling (budget 120s) =="
 timeout 120 cargo run --release -p skewbound-bench --bin tables -- \
   --object register --scale 100000 --shards 1,4,8 >/dev/null

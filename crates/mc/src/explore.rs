@@ -316,10 +316,6 @@ fn key_of<A: ModelActor>(ev: &EventView<'_, A>) -> EvKey<A::Op> {
         EventView::Invoke { pid, .. } => EvKey::Invoke(*pid),
         EventView::Timer { pid, .. } => EvKey::Timer(*pid),
         EventView::Deliver { pid, msg, .. } => EvKey::Deliver(*pid, A::payload_op(msg).cloned()),
-        // A coalesced batch carries several payload ops; keep the key
-        // payload-free so the dependence check stays conservative (a
-        // `None` payload is never proven commuting).
-        EventView::DeliverBatch { pid, .. } => EvKey::Deliver(*pid, None),
     }
 }
 

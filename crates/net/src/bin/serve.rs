@@ -10,9 +10,13 @@
 //!
 //! The process hosts one [`Namespace`]-wrapped object replica, serves
 //! client sessions over the same socket it meshes on, and exits once a
-//! client sends `Bye` and the replica has drained. With `--trace` the
-//! full structured event trace is written as JSON lines on exit — the
-//! same schema the engine emits, so `skewlint audit` consumes it
+//! client sends `Bye` and the replica has drained. Requests that queue
+//! up while an operation is pending are invoked together as the next
+//! Algorithm 1 batch (see [`run_server`]); on exit the process prints
+//! how many batches it invoked and how many client ops they held. With
+//! `--trace` the full structured event trace is written as JSON lines
+//! on exit — the same schema the engine emits, with one `invoke` and
+//! one `respond` per client request, so `skewlint audit` consumes it
 //! directly.
 
 use std::net::SocketAddr;
@@ -169,8 +173,9 @@ where
         std::fs::write(path, sink.into_string())
             .unwrap_or_else(|e| fail(&format!("cannot write trace {path}: {e}")));
     }
+    let ops: usize = history.records().iter().map(|rec| rec.op.len()).sum();
     println!(
-        "skewbound-serve pid={} object={} ops={} complete={}",
+        "skewbound-serve pid={} object={} batches={} ops={ops} complete={}",
         args.pid,
         args.object,
         history.len(),

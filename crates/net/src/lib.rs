@@ -23,7 +23,8 @@
 //!   encodes replica messages into frames, the receiver-side delay
 //!   hold reproducing the `[d − u, d]` admissible window on a fast
 //!   loopback, the server event loop shared by the `skewbound-serve`
-//!   binary and the in-test cluster, and the blocking client used by
+//!   binary and the in-test cluster (it serves each replica's client
+//!   queue as one Algorithm 1 batch), and the blocking client used by
 //!   `skewbound-load`.
 //!
 //! Timebase: all processes of a run share one epoch (a unix-µs instant

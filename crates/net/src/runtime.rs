@@ -2,6 +2,14 @@
 //! replica messages, the receiver-side delay hold, the server event
 //! loop, and the blocking client.
 //!
+//! ## Serving
+//!
+//! [`run_server`] runs a [`Replica`] over [`Batch<S>`] and invokes
+//! everything in its client queue as one Algorithm 1 op whenever no op
+//! is pending: one timestamp and one broadcast for the whole queue, one
+//! response frame per request. A request's latency bound is therefore
+//! its batch's class bound — `d + ε` for a mixed batch.
+//!
 //! ## Timebase
 //!
 //! Every process of a run is handed the same *epoch* — a unix-µs
@@ -23,6 +31,7 @@
 //! within `[d − u, d]` even when a frame physically arrives late.
 
 use std::collections::VecDeque;
+use std::fmt::Debug;
 use std::io::{self, ErrorKind, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::{Barrier, Mutex};
@@ -33,18 +42,20 @@ use rand::{Rng, SeedableRng};
 
 use skewbound_core::params::Params;
 use skewbound_core::replica::{OpMsg, Replica, ReplicaTimer};
+use skewbound_core::timestamp::Timestamp;
 use skewbound_sim::history::History;
 use skewbound_sim::ids::{MsgId, ProcessId, TimerId};
 use skewbound_sim::node::{Activation, NodeCore, Stamp, TraceOutput};
-use skewbound_sim::time::{ClockOffset, SimDuration, SimTime};
-use skewbound_sim::trace::{TraceEvent, TraceSink};
+use skewbound_sim::time::{ClockOffset, ClockTime, SimDuration, SimTime};
+use skewbound_sim::trace::{TraceEvent, TraceEventKind, TraceSink};
 use skewbound_sim::transport::{Transport, TransportError, WireTransport};
+use skewbound_spec::combinators::Batch;
 use skewbound_spec::seqspec::SequentialSpec;
 
 use crate::tcp::{client_hello, read_frame, MeshListener, RawEvent, TcpMesh};
 use crate::wire::{
     decode_batch, decode_frame, encode_batch, encode_frame, from_bytes, to_bytes, Decode, Encode,
-    FrameHeader, FrameKind,
+    FrameHeader, FrameKind, WireError, HEADER_LEN, MAX_FRAME_LEN,
 };
 
 /// The shared run clock: ticks are µs since the run epoch.
@@ -150,26 +161,6 @@ impl<S: SequentialSpec> NetTransport<S> {
         }
     }
 
-    fn send_encoded(
-        &mut self,
-        to: ProcessId,
-        payload: Vec<u8>,
-        batch: u32,
-    ) -> Result<MsgId, TransportError> {
-        let first = MsgId::new(self.msg_prefix | self.next_seq);
-        self.next_seq += u64::from(batch);
-        let header = FrameHeader {
-            kind: FrameKind::Peer,
-            msg_id: first.as_u64(),
-            sent_at_micros: self.base.now_ticks(),
-            delay_micros: self.rng.gen_range(self.delay_lo..=self.delay_hi) as u32,
-            batch,
-        };
-        let frame = encode_frame(&header, &payload);
-        self.wire.send_frame(to, &frame)?;
-        Ok(first)
-    }
-
     /// Pops the due pending timer with the earliest `(deadline, id)`,
     /// if any.
     fn pop_due(&mut self) -> Option<Pending<ReplicaTimer<S>>> {
@@ -204,20 +195,18 @@ where
         to: ProcessId,
         msg: OpMsg<S>,
     ) -> Result<MsgId, TransportError> {
-        let payload = encode_batch(std::slice::from_ref(&msg));
-        self.send_encoded(to, payload, 1)
-    }
-
-    fn send_batch(
-        &mut self,
-        from: ProcessId,
-        to: ProcessId,
-        msgs: Vec<OpMsg<S>>,
-    ) -> Result<MsgId, TransportError> {
-        assert!(!msgs.is_empty(), "empty delivery batch {from}->{to}");
-        let payload = encode_batch(&msgs);
-        let batch = u32::try_from(msgs.len()).expect("batch length fits u32");
-        self.send_encoded(to, payload, batch)
+        let id = MsgId::new(self.msg_prefix | self.next_seq);
+        self.next_seq += 1;
+        let header = FrameHeader {
+            kind: FrameKind::Peer,
+            msg_id: id.as_u64(),
+            sent_at_micros: self.base.now_ticks(),
+            delay_micros: self.rng.gen_range(self.delay_lo..=self.delay_hi) as u32,
+            batch: 1,
+        };
+        let frame = encode_frame(&header, &encode_batch(std::slice::from_ref(&msg)));
+        self.wire.send_frame(to, &frame)?;
+        Ok(id)
     }
 
     fn set_timer(
@@ -284,9 +273,37 @@ impl ServerConfig {
     }
 }
 
-/// Adapts an optional [`TraceSink`] to the node core's [`TraceOutput`].
+/// Adapts an optional [`TraceSink`] to the node core's [`TraceOutput`]
+/// at the grain of client requests. The node invokes and answers whole
+/// batches, but a trace reader matches requests, so the adapter drops
+/// the node's batch-level `invoke`/`respond` events and the serving
+/// loop writes one per member instead ([`SinkOutput::members`]).
 struct SinkOutput<'a> {
+    pid: ProcessId,
     sink: Option<&'a mut dyn TraceSink>,
+}
+
+impl SinkOutput<'_> {
+    /// Writes one `kind` event per member of a batch, in batch order,
+    /// each carrying the member's `Debug` rendering.
+    fn members<T: Debug>(
+        &mut self,
+        at: SimTime,
+        members: &[T],
+        kind: fn(String) -> TraceEventKind,
+    ) {
+        let Some(sink) = self.sink.as_mut() else {
+            return;
+        };
+        for m in members {
+            sink.event(&TraceEvent {
+                at,
+                clock: at.to_clock(ClockOffset::ZERO),
+                pid: self.pid,
+                kind: kind(format!("{m:?}")),
+            });
+        }
+    }
 }
 
 impl TraceOutput for SinkOutput<'_> {
@@ -295,13 +312,20 @@ impl TraceOutput for SinkOutput<'_> {
     }
 
     fn emit(&mut self, event: TraceEvent) {
+        if matches!(
+            event.kind,
+            TraceEventKind::Invoke { .. } | TraceEventKind::Respond { .. }
+        ) {
+            return;
+        }
         if let Some(sink) = self.sink.as_mut() {
             sink.event(&event);
         }
     }
 }
 
-/// A decoded peer batch waiting out its injected delay.
+/// A decoded peer frame waiting out its injected delay. Its messages
+/// carry the consecutive ids `first_id, first_id + 1, …`.
 struct Held<S: SequentialSpec> {
     deliver_at: Instant,
     from: ProcessId,
@@ -309,48 +333,86 @@ struct Held<S: SequentialSpec> {
     msgs: Vec<OpMsg<S>>,
 }
 
-/// One queued client request.
+/// One queued client request; `len` is its encoded payload size.
 struct ClientReq<O> {
     conn: u64,
     req_id: u64,
     op: O,
+    len: usize,
 }
 
 /// Runs one replica server over `mesh` until it has been told to stop
 /// (a [`FrameKind::Bye`] frame) *and* has drained: no held peer
-/// batches, no queued or in-flight client operation, no armed timer,
+/// frames, no queued or in-flight client operation, no armed timer,
 /// and a full `2d` of quiet — by which point every frame another
 /// replica sent before its own drain has long arrived. Returns the
-/// server-side history.
+/// server-side history, one record per batch.
+///
+/// ## Serving loop
+///
+/// The node is a [`Replica`] over [`Batch<S>`]: one Algorithm 1 op is a
+/// `Vec` of client ops with one timestamp and one broadcast. Whenever
+/// no op is pending and the client queue is non-empty, the whole queue
+/// is invoked as the next batch, in FIFO order, and each request is
+/// answered with its own element of the batch's response, one
+/// `ClientResp` frame per request. A queue of one request is a batch of
+/// one. There is no batch-size limit and no coalescing delay: a batch
+/// holds what queued up while the previous one was pending, up to what
+/// one peer frame ([`MAX_FRAME_LEN`]) can carry.
+///
+/// The batch's [`OpClass`](skewbound_spec::seqspec::OpClass) alone
+/// picks its path, so a request's latency bound is its *batch's* class
+/// bound: a batch of pure mutators responds at `ε + X`, a batch of pure
+/// accessors at `d + ε − X`, and a mixed batch is an `Other` op that
+/// responds within `d + ε` — also for the accessors and mutators in it.
+///
+/// Due timers and due held peer frames run in deadline order, and each
+/// wake takes the arrivals already queued (up to a request that finds
+/// no op pending, which is served at once), so the backlog after a
+/// scheduling stall runs in the order the model would have run it.
+///
+/// With a trace sink, every request gets its own `invoke` and
+/// `respond` event carrying the member op's and response's `Debug`
+/// rendering, in queue order; sends, deliveries and timers are the
+/// node's own.
 ///
 /// # Panics
 ///
 /// Panics on peer protocol violations (undecodable peer frames) and on
 /// transport failures — for a replica process both are fatal. An
-/// undecodable *client* request is not: it is dropped, reported as the
-/// `net/dropped_client_reqs` counter on `sink`, and serving goes on.
+/// undecodable *client* request is not, nor one too large for a peer
+/// frame: it is dropped, reported as the `net/dropped_client_reqs`
+/// counter on `sink`, and serving goes on.
 pub fn run_server<S>(
     spec: S,
     cfg: &ServerConfig,
     mesh: &TcpMesh,
     mut sink: Option<&mut dyn TraceSink>,
-) -> History<S::Op, S::Resp>
+) -> History<Vec<S::Op>, Vec<S::Resp>>
 where
     S: SequentialSpec,
     S::Op: Encode + Decode,
     S::Resp: Encode,
 {
     let base = TimeBase::new(cfg.epoch_micros);
-    let mut node = NodeCore::new(cfg.pid, cfg.n, Replica::new(spec, &cfg.params));
-    let mut transport: NetTransport<S> = NetTransport::new(Box::new(mesh.peer_sender()), cfg);
+    let mut node = NodeCore::new(cfg.pid, cfg.n, Replica::new(Batch::new(spec), &cfg.params));
+    let mut transport: NetTransport<Batch<S>> =
+        NetTransport::new(Box::new(mesh.peer_sender()), cfg);
     let mut trace = SinkOutput {
+        pid: cfg.pid,
         sink: sink.take().map(|s| s as &mut dyn TraceSink),
     };
-    let mut history: History<S::Op, S::Resp> = History::new();
-    let mut held: Vec<Held<S>> = Vec::new();
+    let mut history: History<Vec<S::Op>, Vec<S::Resp>> = History::new();
+    let mut held: Vec<Held<Batch<S>>> = Vec::new();
     let mut client_q: VecDeque<ClientReq<S::Op>> = VecDeque::new();
-    // The (connection, request id) awaiting the pending op's response.
-    let mut in_flight: Option<(u64, u64)> = None;
+    // The (connection, request id) of each member of the pending batch.
+    let mut in_flight: Vec<(u64, u64)> = Vec::new();
+    // A batch's peer frame body is this plus its members' payloads.
+    let empty_batch: OpMsg<Batch<S>> = OpMsg {
+        op: Vec::new(),
+        ts: Timestamp::new(ClockTime::ZERO, cfg.pid),
+    };
+    let frame_overhead = HEADER_LEN + to_bytes(&empty_batch).len();
     let mut draining = false;
     let mut dropped_client_reqs: u64 = 0;
     let grace = Duration::from_micros(2 * cfg.params.d().as_ticks());
@@ -369,70 +431,91 @@ where
         .expect("transport failed during start");
 
     loop {
-        // 1. Fire every due timer (earliest first).
-        while let Some(t) = transport.pop_due() {
-            last_activity = Instant::now();
-            let act = node
-                .on_timer(
-                    stamp_now(&base),
-                    t.id,
-                    t.timer,
-                    &mut transport,
-                    &mut trace,
-                    &mut history,
-                )
-                .expect("transport failed during timer");
-            reply_if_completed::<S>(act, &mut in_flight, &history, mesh);
-        }
-
-        // 2. Deliver every held peer batch whose injected delay has
-        // elapsed, in (deliver_at, first_id) order.
+        // 1. Fire due timers and deliver due held frames, earliest
+        // deadline first (a frame before a timer due at the same
+        // instant). After a scheduling stall the backlog then runs in
+        // the order the model would have run it: a timer must not fire
+        // ahead of a frame that was due before it.
         loop {
             let now = Instant::now();
-            let due = held
+            let frame = held
                 .iter()
                 .enumerate()
                 .filter(|(_, h)| h.deliver_at <= now)
                 .min_by_key(|(_, h)| (h.deliver_at, h.first_id))
-                .map(|(i, _)| i);
-            let Some(i) = due else { break };
-            let h = held.swap_remove(i);
-            last_activity = Instant::now();
-            let act = node
-                .on_message_batch(
-                    stamp_now(&base),
-                    h.from,
-                    h.first_id,
-                    h.msgs,
-                    &mut transport,
-                    &mut trace,
-                    &mut history,
-                )
-                .expect("transport failed during delivery");
-            reply_if_completed::<S>(act, &mut in_flight, &history, mesh);
-        }
-
-        // 3. Start the next client operation once the previous one is
-        // done (the model's one-pending-operation-per-process rule).
-        if node.pending_op().is_none() {
-            if let Some(req) = client_q.pop_front() {
-                last_activity = Instant::now();
-                in_flight = Some((req.conn, req.req_id));
-                let act = node
-                    .on_invoke(
-                        stamp_now(&base),
-                        req.op,
-                        &mut transport,
-                        &mut trace,
-                        &mut history,
-                    )
-                    .expect("transport failed during invoke");
-                reply_if_completed::<S>(act, &mut in_flight, &history, mesh);
-                continue; // the invoke may have armed immediately-due timers
+                .map(|(i, h)| (i, h.deliver_at));
+            let timer_at = transport.next_deadline().filter(|&at| at <= now);
+            let frame_first = match (frame, timer_at) {
+                (None, None) => break,
+                (Some((_, at)), Some(t)) => at <= t,
+                (frame, _) => frame.is_some(),
+            };
+            last_activity = now;
+            match frame {
+                Some((i, _)) if frame_first => {
+                    let h = held.swap_remove(i);
+                    for (k, msg) in (0u64..).zip(h.msgs) {
+                        let act = node
+                            .on_message(
+                                stamp_now(&base),
+                                h.from,
+                                MsgId::new(h.first_id.as_u64() + k),
+                                msg,
+                                &mut transport,
+                                &mut trace,
+                                &mut history,
+                            )
+                            .expect("transport failed during delivery");
+                        reply_if_completed(act, &mut in_flight, &history, mesh, &mut trace);
+                    }
+                }
+                _ => {
+                    let t = transport.pop_due().expect("a timer is due");
+                    let act = node
+                        .on_timer(
+                            stamp_now(&base),
+                            t.id,
+                            t.timer,
+                            &mut transport,
+                            &mut trace,
+                            &mut history,
+                        )
+                        .expect("transport failed during timer");
+                    reply_if_completed(act, &mut in_flight, &history, mesh, &mut trace);
+                }
             }
         }
 
-        // 4. Drained and quiet? Then stop.
+        // 2. Once the previous batch is done (the model's one pending
+        // operation per process), invoke the queue as the next batch:
+        // FIFO, as many requests as one peer frame can carry.
+        if node.pending_op().is_none() && !client_q.is_empty() {
+            last_activity = Instant::now();
+            let mut body = frame_overhead;
+            let take = client_q
+                .iter()
+                .take_while(|req| {
+                    body += req.len;
+                    body <= MAX_FRAME_LEN
+                })
+                .count();
+            let ops: Vec<S::Op> = client_q
+                .drain(..take)
+                .map(|req| {
+                    in_flight.push((req.conn, req.req_id));
+                    req.op
+                })
+                .collect();
+            let stamp = stamp_now(&base);
+            trace.members(stamp.now, &ops, |op| TraceEventKind::Invoke { op });
+            let act = node
+                .on_invoke(stamp, ops, &mut transport, &mut trace, &mut history)
+                .expect("transport failed during invoke");
+            reply_if_completed(act, &mut in_flight, &history, mesh, &mut trace);
+            continue; // the invoke may have armed immediately-due timers
+        }
+
+        // 3. Drained and quiet? Then stop.
         let idle = held.is_empty()
             && client_q.is_empty()
             && node.pending_op().is_none()
@@ -441,8 +524,10 @@ where
             break;
         }
 
-        // 5. Sleep until the next deadline (timer or held batch), the
-        // next mesh arrival, or a short poll.
+        // 4. Sleep until the next deadline (timer or held frame), the
+        // next mesh arrival, or a short poll; then take the arrivals
+        // already queued behind it, so that step 1 sees the frames that
+        // have reached this process.
         let now = Instant::now();
         let mut timeout = if draining && idle {
             grace.saturating_sub(last_activity.elapsed())
@@ -456,96 +541,127 @@ where
         {
             timeout = timeout.min(deadline.saturating_duration_since(now));
         }
-        match mesh.recv_timeout(timeout.max(Duration::from_micros(100))) {
-            Some(RawEvent::Peer {
-                from,
-                header,
-                payload,
-            }) => {
-                last_activity = Instant::now();
-                let msgs: Vec<OpMsg<S>> = decode_batch(&payload, header.batch as usize)
-                    .expect("peer sent an undecodable message batch");
-                held.push(Held {
-                    deliver_at: base
-                        .instant_for(header.sent_at_micros + u64::from(header.delay_micros)),
+        let mut arrival = mesh.recv_timeout(timeout.max(Duration::from_micros(100)));
+        while let Some(event) = arrival {
+            last_activity = Instant::now();
+            match event {
+                RawEvent::Peer {
                     from,
-                    first_id: MsgId::new(header.msg_id),
-                    msgs,
-                });
-            }
-            Some(RawEvent::Client {
-                conn,
-                header,
-                payload,
-            }) => {
-                last_activity = Instant::now();
-                match header.kind {
-                    FrameKind::ClientReq => match from_bytes::<S::Op>(&payload) {
-                        Ok(op) => client_q.push_back(ClientReq {
-                            conn,
-                            req_id: header.msg_id,
-                            op,
-                        }),
-                        // A client's garbage is its own problem: drop the
-                        // request (the client never gets a response) and
-                        // keep serving everyone else.
-                        Err(e) => {
-                            dropped_client_reqs += 1;
-                            // Log at powers of two so a flood of garbage
-                            // cannot flood the log.
-                            if dropped_client_reqs.is_power_of_two() {
-                                eprintln!(
-                                    "dropped {dropped_client_reqs} undecodable client \
-                                     request(s); latest from client {conn}: {e}"
-                                );
-                            }
-                            if let Some(sink) = trace.sink.as_mut() {
-                                sink.counter("net", "dropped_client_reqs", 1);
+                    header,
+                    payload,
+                } => {
+                    let msgs: Vec<OpMsg<Batch<S>>> = decode_batch(&payload, header.batch as usize)
+                        .expect("peer sent an undecodable message batch");
+                    held.push(Held {
+                        deliver_at: base
+                            .instant_for(header.sent_at_micros + u64::from(header.delay_micros)),
+                        from,
+                        first_id: MsgId::new(header.msg_id),
+                        msgs,
+                    });
+                }
+                RawEvent::Client {
+                    conn,
+                    header,
+                    payload,
+                } => {
+                    match header.kind {
+                        FrameKind::ClientReq => {
+                            // A request must fit a peer frame on its own.
+                            let body = frame_overhead + payload.len();
+                            let op = from_bytes::<S::Op>(&payload).and_then(|op| {
+                                if body <= MAX_FRAME_LEN {
+                                    Ok(op)
+                                } else {
+                                    Err(WireError::FrameTooLarge(body))
+                                }
+                            });
+                            match op {
+                                Ok(op) => client_q.push_back(ClientReq {
+                                    conn,
+                                    req_id: header.msg_id,
+                                    op,
+                                    len: payload.len(),
+                                }),
+                                // A client's garbage is its own problem: drop
+                                // the request (the client never gets a
+                                // response) and keep serving everyone else.
+                                Err(e) => {
+                                    dropped_client_reqs += 1;
+                                    // Log at powers of two so a flood of garbage
+                                    // cannot flood the log.
+                                    if dropped_client_reqs.is_power_of_two() {
+                                        eprintln!(
+                                            "dropped {dropped_client_reqs} client request(s); \
+                                         latest from client {conn}: {e}"
+                                        );
+                                    }
+                                    if let Some(sink) = trace.sink.as_mut() {
+                                        sink.counter("net", "dropped_client_reqs", 1);
+                                    }
+                                }
                             }
                         }
-                    },
-                    FrameKind::Bye => draining = true,
-                    _ => {}
+                        FrameKind::Bye => draining = true,
+                        _ => {}
+                    }
                 }
+                RawEvent::ClientGone { .. } => {}
             }
-            Some(RawEvent::ClientGone { .. }) | None => {}
+            // A request that finds no op pending is served at once, on
+            // its own or with what queued before it: taking the requests
+            // queued behind it as well measurably splits a closed loop
+            // into two mixed (`d + ε`) batches per cycle instead of a
+            // fast lone op and one mixed batch.
+            arrival = if node.pending_op().is_none() && !client_q.is_empty() {
+                None
+            } else {
+                mesh.recv_timeout(Duration::ZERO)
+            };
         }
     }
     history
 }
 
-/// If the activation completed the pending operation, encode its
-/// response and push it to the waiting client connection.
-fn reply_if_completed<S>(
+/// If the activation completed the pending batch, answers each member
+/// request with its own response — one `ClientResp` frame per request,
+/// in batch order — and writes their `respond` trace events.
+fn reply_if_completed<O, R>(
     act: Activation,
-    in_flight: &mut Option<(u64, u64)>,
-    history: &History<S::Op, S::Resp>,
+    in_flight: &mut Vec<(u64, u64)>,
+    history: &History<Vec<O>, Vec<R>>,
     mesh: &TcpMesh,
+    trace: &mut SinkOutput<'_>,
 ) where
-    S: SequentialSpec,
-    S::Resp: Encode,
+    R: Encode + Debug,
 {
     let Activation::Completed(op_id) = act else {
         return;
     };
-    let Some((conn, req_id)) = in_flight.take() else {
-        return;
-    };
-    let rec = history.get(op_id).expect("completed op is in the history");
-    let (resp, _) = rec.response.as_ref().expect("completed op has a response");
-    let frame = encode_frame(
-        &FrameHeader {
-            kind: FrameKind::ClientResp,
-            msg_id: req_id,
-            sent_at_micros: 0,
-            delay_micros: 0,
-            batch: 0,
-        },
-        &to_bytes(resp),
-    );
-    // A vanished client is not a server error; the operation still
-    // executed and is in the history.
-    let _ = mesh.send_to_client(conn, &frame);
+    let rec = history
+        .get(op_id)
+        .expect("completed batch is in the history");
+    let (resps, at) = rec
+        .response
+        .as_ref()
+        .expect("completed batch has a response");
+    assert_eq!(resps.len(), in_flight.len(), "one response per member");
+    trace.members(*at, resps, |resp| TraceEventKind::Respond { resp });
+    for ((conn, req_id), resp) in in_flight.drain(..).zip(resps) {
+        let frame = encode_frame(
+            &FrameHeader {
+                kind: FrameKind::ClientResp,
+                msg_id: req_id,
+                sent_at_micros: 0,
+                delay_micros: 0,
+                batch: 0,
+            },
+            &to_bytes(resp),
+        );
+        // A vanished client is not a server error; the operation still
+        // executed and is in the history.
+        let _ = mesh.send_to_client(conn, &frame);
+    }
 }
 
 /// A blocking closed-loop client of one server: one operation in

@@ -51,26 +51,6 @@ pub trait Actor: Sized {
     /// A message from `from` was delivered.
     fn on_message(&mut self, from: ProcessId, msg: Self::Msg, ctx: &mut Context<'_, Self>);
 
-    /// A delivery batch from `from` arrived: several messages sent in one
-    /// [`Context::send_batch`] call, delivered together after one shared
-    /// delay draw.
-    ///
-    /// The default unrolls the batch through [`Actor::on_message`] in send
-    /// order within a single activation, which is behaviorally identical
-    /// to `k` back-to-back deliveries at the same instant. Actors that can
-    /// amortize per-message work (e.g. arming one hold timer for a whole
-    /// mutator batch) override this.
-    fn on_message_batch(
-        &mut self,
-        from: ProcessId,
-        msgs: Vec<Self::Msg>,
-        ctx: &mut Context<'_, Self>,
-    ) {
-        for msg in msgs {
-            self.on_message(from, msg, ctx);
-        }
-    }
-
     /// A timer set earlier via [`Context::set_timer`] went off.
     fn on_timer(&mut self, timer: Self::Timer, ctx: &mut Context<'_, Self>);
 }
@@ -79,7 +59,6 @@ pub trait Actor: Sized {
 #[derive(Debug)]
 pub(crate) struct Effects<A: Actor> {
     pub(crate) sends: Vec<(ProcessId, A::Msg)>,
-    pub(crate) batches: Vec<(ProcessId, Vec<A::Msg>)>,
     pub(crate) timers: Vec<(TimerId, SimDuration, A::Timer)>,
     pub(crate) cancels: Vec<TimerId>,
     pub(crate) response: Option<A::Resp>,
@@ -89,7 +68,6 @@ impl<A: Actor> Effects<A> {
     pub(crate) fn new() -> Self {
         Effects {
             sends: Vec::new(),
-            batches: Vec::new(),
             timers: Vec::new(),
             cancels: Vec::new(),
             response: None,
@@ -100,7 +78,6 @@ impl<A: Actor> Effects<A> {
     /// core reuses one `Effects` across activations.
     pub(crate) fn clear(&mut self) {
         self.sends.clear();
-        self.batches.clear();
         self.timers.clear();
         self.cancels.clear();
         self.response = None;
@@ -195,41 +172,6 @@ impl<'a, A: Actor> Context<'a, A> {
         for to in ProcessId::all(self.n) {
             if to != self.pid {
                 self.effects.sends.push((to, msg.clone()));
-            }
-        }
-    }
-
-    /// Sends `msgs` to process `to` as one delivery batch: the transport
-    /// charges one delay draw for the whole batch and the receiver gets a
-    /// single [`Actor::on_message_batch`] activation, with the messages
-    /// delivered in order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `to` is this process, out of range, or `msgs` is empty
-    /// (an empty batch has no delivery event to schedule).
-    pub fn send_batch(&mut self, to: ProcessId, msgs: Vec<A::Msg>) {
-        assert!(to != self.pid, "{to}: processes do not send to themselves");
-        assert!(to.index() < self.n, "{to} out of range (n = {})", self.n);
-        assert!(!msgs.is_empty(), "{}: empty delivery batch", self.pid);
-        self.effects.batches.push((to, msgs));
-    }
-
-    /// Sends a copy of the batch `msgs` to every *other* process (self
-    /// excluded, per the model). Per-destination framing matches
-    /// [`Context::send_batch`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `msgs` is empty.
-    pub fn broadcast_batch(&mut self, msgs: &[A::Msg])
-    where
-        A::Msg: Clone,
-    {
-        assert!(!msgs.is_empty(), "{}: empty delivery batch", self.pid);
-        for to in ProcessId::all(self.n) {
-            if to != self.pid {
-                self.effects.batches.push((to, msgs.to_vec()));
             }
         }
     }
@@ -341,51 +283,5 @@ mod tests {
     #[test]
     fn clock_visible_to_handler() {
         ctx_harness(|ctx| assert_eq!(ctx.clock(), ClockTime::from_ticks(5)));
-    }
-
-    #[test]
-    fn broadcast_batch_excludes_self_and_keeps_order() {
-        let effects = ctx_harness(|ctx| ctx.broadcast_batch(&[7, 8, 9]));
-        assert!(effects.sends.is_empty());
-        let targets: Vec<_> = effects.batches.iter().map(|(to, _)| to.index()).collect();
-        assert_eq!(targets, vec![1, 2]);
-        for (_, msgs) in &effects.batches {
-            assert_eq!(msgs, &vec![7, 8, 9]);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "empty delivery batch")]
-    fn empty_batch_rejected() {
-        ctx_harness(|ctx| ctx.send_batch(ProcessId::new(1), Vec::new()));
-    }
-
-    #[test]
-    fn default_batch_handler_unrolls_in_order() {
-        #[derive(Debug, Default)]
-        struct Collect(Vec<u32>);
-        impl Actor for Collect {
-            type Msg = u32;
-            type Op = u32;
-            type Resp = u32;
-            type Timer = ();
-            fn on_invoke(&mut self, _op: u32, _ctx: &mut Context<'_, Self>) {}
-            fn on_message(&mut self, _from: ProcessId, msg: u32, _ctx: &mut Context<'_, Self>) {
-                self.0.push(msg);
-            }
-            fn on_timer(&mut self, _timer: (), _ctx: &mut Context<'_, Self>) {}
-        }
-        let mut actor = Collect::default();
-        let mut effects = Effects::new();
-        let mut slab = TimerSlab::new();
-        let mut ctx = Context::new(
-            ProcessId::new(1),
-            3,
-            ClockTime::from_ticks(0),
-            &mut slab,
-            &mut effects,
-        );
-        actor.on_message_batch(ProcessId::new(0), vec![3, 1, 2], &mut ctx);
-        assert_eq!(actor.0, vec![3, 1, 2]);
     }
 }

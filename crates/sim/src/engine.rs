@@ -28,7 +28,7 @@
 //! * clocks are fixed offsets from real time.
 //!
 //! The real-thread counterpart is [`crate::rt`], which drives the same
-//! node core from OS threads and a delay-injecting router.
+//! node core from OS threads with delays injected at each receiver.
 
 use crate::actor::Actor;
 use crate::clock::ClockAssignment;
@@ -116,7 +116,7 @@ pub struct SimReport {
     /// grid sweeps record it once per grid, scale runs per run. Ignored
     /// by equality, like [`SimReport::wall_nanos`].
     pub peak_rss_bytes: u64,
-    /// Payload-arena slots (invoke / message / batch / timer) still live
+    /// Payload-arena slots (invoke / message / timer) still live
     /// when the run loop returned. Every pop takes its payload out of
     /// the owning slab — stale timers included — so a quiescent run must
     /// report zero; anything else means a payload leaked (also asserted
@@ -184,11 +184,6 @@ pub(crate) enum EventKind<A: Actor> {
         msg: A::Msg,
         msg_id: MsgId,
     },
-    DeliverBatch {
-        from: ProcessId,
-        first_id: MsgId,
-        msgs: Vec<A::Msg>,
-    },
     Timer {
         id: TimerId,
         timer: A::Timer,
@@ -224,21 +219,6 @@ pub enum EventView<'a, A: Actor> {
         /// The payload.
         msg: &'a A::Msg,
     },
-    /// Delivery of a coalesced message batch at `pid`
-    /// (see [`Transport::send_batch`](crate::transport::Transport::send_batch)).
-    DeliverBatch {
-        /// Stable event identity within a deterministic replay.
-        seq: u64,
-        /// The receiving process.
-        pid: ProcessId,
-        /// The sender.
-        from: ProcessId,
-        /// Id of the first message; the batch spans
-        /// `first_id..first_id + msgs.len()`.
-        first_id: MsgId,
-        /// The payloads, in send order.
-        msgs: &'a [A::Msg],
-    },
     /// A live timer expiry at `pid` (stale expiries are filtered out
     /// before the policy sees the batch).
     Timer {
@@ -257,7 +237,6 @@ impl<A: Actor> EventView<'_, A> {
         match self {
             EventView::Invoke { seq, .. }
             | EventView::Deliver { seq, .. }
-            | EventView::DeliverBatch { seq, .. }
             | EventView::Timer { seq, .. } => *seq,
         }
     }
@@ -268,7 +247,6 @@ impl<A: Actor> EventView<'_, A> {
         match self {
             EventView::Invoke { pid, .. }
             | EventView::Deliver { pid, .. }
-            | EventView::DeliverBatch { pid, .. }
             | EventView::Timer { pid, .. } => *pid,
         }
     }
@@ -296,20 +274,6 @@ impl<A: Actor> core::fmt::Debug for EventView<'_, A> {
                 .field("from", from)
                 .field("msg_id", msg_id)
                 .field("msg", msg)
-                .finish(),
-            EventView::DeliverBatch {
-                seq,
-                pid,
-                from,
-                first_id,
-                msgs,
-            } => f
-                .debug_struct("DeliverBatch")
-                .field("seq", seq)
-                .field("pid", pid)
-                .field("from", from)
-                .field("first_id", first_id)
-                .field("len", &msgs.len())
                 .finish(),
             EventView::Timer { seq, pid } => f
                 .debug_struct("Timer")
@@ -725,16 +689,6 @@ impl<A: Actor, D: DelayModel> Simulation<A, D> {
                                 msg: &p.msg,
                             }
                         }
-                        EvSlot::DeliverBatch => {
-                            let p = self.transport.batches.get(tag.slot);
-                            EventView::DeliverBatch {
-                                seq,
-                                pid: tag.pid,
-                                from: p.from,
-                                first_id: p.first_id,
-                                msgs: &p.msgs,
-                            }
-                        }
                         EvSlot::Timer => EventView::Timer { seq, pid: tag.pid },
                     })
                     .collect();
@@ -767,7 +721,7 @@ impl<A: Actor, D: DelayModel> Simulation<A, D> {
     }
 
     /// Builds the end-of-run report and performs the payload-leak check:
-    /// the event queue is empty here, so every invoke/message/batch/timer
+    /// the event queue is empty here, so every invoke/message/timer
     /// payload must have been taken out of its arena.
     fn finish_report(&self, events: u64, wall_start: std::time::Instant) -> SimReport {
         let leaked = self.transport.live_payloads();
@@ -864,19 +818,6 @@ impl<A: Actor, D: DelayModel> Simulation<A, D> {
                 from,
                 msg_id,
                 msg,
-                &mut self.transport,
-                &mut self.trace,
-                &mut self.history,
-            ),
-            EventKind::DeliverBatch {
-                from,
-                first_id,
-                msgs,
-            } => node.on_message_batch(
-                stamp,
-                from,
-                first_id,
-                msgs,
                 &mut self.transport,
                 &mut self.trace,
                 &mut self.history,

@@ -18,7 +18,7 @@
 //!
 //! The discrete-event engine ([`crate::engine`]) wraps a `NodeCore` per
 //! process around a virtual-time heap transport; the real-thread
-//! runtime ([`crate::rt`]) wraps one around a router-and-channels
+//! runtime ([`crate::rt`]) wraps one around a channel-inbox
 //! transport. Neither re-implements any of the four steps above, so
 //! the two backends cannot drift in effect application, invariants,
 //! timer lifecycle or trace schema.
@@ -309,44 +309,6 @@ impl<A: Actor> NodeCore<A> {
         self.apply_effects(stamp, effects, transport, trace, history)
     }
 
-    /// Delivers a batch of messages from `from` as one activation. The
-    /// messages carry the consecutive ids `first_id..first_id + k`;
-    /// one `Recv` trace event is emitted per message so per-message
-    /// send/deliver pairing survives batching.
-    #[allow(clippy::too_many_arguments)] // one parameter per activation ingredient
-    pub fn on_message_batch<T, TO, H>(
-        &mut self,
-        stamp: Stamp,
-        from: ProcessId,
-        first_id: MsgId,
-        msgs: Vec<A::Msg>,
-        transport: &mut T,
-        trace: &mut TO,
-        history: &mut H,
-    ) -> Result<Activation, TransportError>
-    where
-        T: Transport<A>,
-        TO: TraceOutput,
-        H: HistorySink<A>,
-    {
-        if trace.active() {
-            for i in 0..msgs.len() {
-                self.emit(
-                    trace,
-                    stamp,
-                    TraceEventKind::Recv {
-                        from,
-                        msg: MsgId::new(first_id.as_u64() + i as u64),
-                    },
-                );
-            }
-        }
-        let effects = self.run(stamp.clock, |actor, ctx| {
-            actor.on_message_batch(from, msgs, ctx);
-        });
-        self.apply_effects(stamp, effects, transport, trace, history)
-    }
-
     /// Fires timer `id`, or returns [`Activation::Stale`] without
     /// running anything if the id's generation was retired by a cancel
     /// after the expiry event was queued.
@@ -474,28 +436,6 @@ impl<A: Actor> NodeCore<A> {
                 );
             } else {
                 transport.send(self.pid, to, msg)?;
-            }
-        }
-
-        for (to, msgs) in effects.batches.drain(..) {
-            if trace.active() {
-                // One Send trace event per message; ids are consecutive
-                // from the batch's first id.
-                let payloads: Vec<String> = msgs.iter().map(|m| format!("{m:?}")).collect();
-                let first = transport.send_batch(self.pid, to, msgs)?;
-                for (i, payload) in payloads.into_iter().enumerate() {
-                    self.emit(
-                        trace,
-                        stamp,
-                        TraceEventKind::Send {
-                            to,
-                            msg: MsgId::new(first.as_u64() + i as u64),
-                            payload,
-                        },
-                    );
-                }
-            } else {
-                transport.send_batch(self.pid, to, msgs)?;
             }
         }
 

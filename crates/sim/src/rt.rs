@@ -4,10 +4,12 @@
 //! [`NodeCore`]: each process is a `NodeCore` on
 //! an OS thread, activated by its mpsc inbox and its due timers, while
 //! a private `ChannelTransport` implementing
-//! [`Transport`](crate::transport::Transport) routes every send through
-//! a delay-injecting router thread (delays drawn uniformly from the
-//! same `[d − u, d]` bounds the engine enforces) and keeps the worker's
-//! pending-timer schedule. All effect application, the one-pending-op
+//! [`Transport`](crate::transport::Transport) pushes every send straight
+//! into the receiver's inbox with a delivery instant (delays drawn
+//! uniformly from the same `[d − u, d]` bounds the engine enforces) and
+//! keeps the worker's pending-timer schedule. Each worker runs its due
+//! messages and timers in deadline order, so a thread that wakes late
+//! still activates its node in the order the delays prescribe. All effect application, the one-pending-op
 //! invariant, timer generations, trace emission and history recording
 //! live in the node core — the discrete-event engine
 //! ([`crate::engine`]) drives the identical code from its virtual-time
@@ -29,8 +31,9 @@
 //! noise can also perturb the relative order of closely spaced events, so
 //! prefer workloads whose correctness does not hinge on exact tie-breaks.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{channel, sync_channel, Receiver, RecvTimeoutError, Sender, SyncSender};
+use std::collections::{BinaryHeap, VecDeque};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
@@ -46,7 +49,7 @@ use crate::ids::{OpId, ProcessId};
 use crate::node::{Activation, HistorySink, NodeCore, Stamp, TraceOutput};
 use crate::time::{instant_to_sim, ticks_to_duration, ClockOffset, SimDuration, SimTime};
 use crate::trace::{TraceEvent, TraceSink};
-use crate::transport::{run_router, ChannelTransport, Input, RouterMsg};
+use crate::transport::{ChannelTransport, Delivery, Input};
 use crate::workload::{Driver, Script};
 
 /// A trace sink shared by every worker thread of an [`RtCluster`].
@@ -91,9 +94,9 @@ impl core::fmt::Display for OpPending {
 
 impl std::error::Error for OpPending {}
 
-/// The (real time, local clock) stamp of an activation happening now.
-fn stamp_now(epoch: Instant, offset: ClockOffset) -> Stamp {
-    let now = instant_to_sim(epoch, Instant::now());
+/// The (real time, local clock) stamp of an activation at `at`.
+fn stamp_at(epoch: Instant, offset: ClockOffset, at: Instant) -> Stamp {
+    let now = instant_to_sim(epoch, at);
     Stamp {
         now,
         clock: now.to_clock(offset),
@@ -130,7 +133,7 @@ impl<A: Actor> HistorySink<A> for SharedHistory<'_, A> {
     }
 }
 
-/// A running cluster of actor threads plus the delay-injecting router.
+/// A running cluster of actor threads.
 ///
 /// # Examples
 ///
@@ -161,8 +164,10 @@ impl<A: Actor> HistorySink<A> for SharedHistory<'_, A> {
 /// ```
 pub struct RtCluster<A: Actor> {
     epoch: Instant,
-    proc_txs: Vec<SyncSender<Input<A>>>,
-    router_tx: Sender<RouterMsg<A::Msg>>,
+    proc_txs: Vec<Sender<Input<A>>>,
+    /// The workers' shared count of outstanding work (see
+    /// `ChannelTransport::work`); invocations add to it.
+    work: Arc<AtomicUsize>,
     history: Arc<Mutex<History<A::Op, A::Resp>>>,
     /// One flag per process: `true` while an operation is in flight.
     /// Client-side enforcement of the one-pending-op invariant — the
@@ -171,7 +176,6 @@ pub struct RtCluster<A: Actor> {
     resp_rxs: Vec<Option<Receiver<A::Resp>>>,
     done_rx: Receiver<(ProcessId, OpId)>,
     worker_handles: Vec<JoinHandle<()>>,
-    router_handle: Option<JoinHandle<()>>,
 }
 
 impl<A: Actor> core::fmt::Debug for RtCluster<A> {
@@ -186,7 +190,8 @@ impl<A: Actor> core::fmt::Debug for RtCluster<A> {
 pub struct RtClient<A: Actor> {
     pid: ProcessId,
     epoch: Instant,
-    proc_tx: SyncSender<Input<A>>,
+    proc_tx: Sender<Input<A>>,
+    work: Arc<AtomicUsize>,
     resp_rx: Receiver<A::Resp>,
     history: Arc<Mutex<History<A::Op, A::Resp>>>,
     in_flight: Arc<Vec<AtomicBool>>,
@@ -221,6 +226,7 @@ impl<A: Actor> RtClient<A> {
             op.clone(),
             instant_to_sim(self.epoch, Instant::now()),
         );
+        self.work.fetch_add(1, Ordering::AcqRel);
         self.proc_tx
             .send(Input::Invoke(op_id, op))
             .expect("cluster has shut down");
@@ -249,7 +255,7 @@ where
     A::Resp: Send + 'static,
     A::Timer: Send + 'static,
 {
-    /// Starts one thread per actor plus the router, injecting message
+    /// Starts one thread per actor, injecting message
     /// delays drawn uniformly from `bounds` (seeded by `seed`).
     ///
     /// # Panics
@@ -304,25 +310,22 @@ where
         let in_flight: Arc<Vec<AtomicBool>> =
             Arc::new((0..n).map(|_| AtomicBool::new(false)).collect());
         let (done_tx, done_rx) = channel::<(ProcessId, OpId)>();
-        let (router_tx, router_rx) = channel::<RouterMsg<A::Msg>>();
+        let work = Arc::new(AtomicUsize::new(0));
 
         let mut proc_txs = Vec::with_capacity(n);
         let mut proc_rxs = Vec::with_capacity(n);
         let mut resp_txs = Vec::with_capacity(n);
         let mut resp_rxs = Vec::with_capacity(n);
         for _ in 0..n {
-            let (tx, rx) = sync_channel::<Input<A>>(1024);
+            // Unbounded: workers send to each other, and a bounded inbox
+            // could block two workers on each other's full queues.
+            let (tx, rx) = channel::<Input<A>>();
             proc_txs.push(tx);
             proc_rxs.push(rx);
             let (rtx, rrx) = channel::<A::Resp>();
             resp_txs.push(rtx);
             resp_rxs.push(Some(rrx));
         }
-
-        let router_handle = {
-            let proc_txs = proc_txs.clone();
-            thread::spawn(move || run_router::<A>(&router_rx, &proc_txs))
-        };
 
         let msg_ids: Arc<AtomicU64> = Arc::new(AtomicU64::new(0));
         let mut worker_handles = Vec::with_capacity(n);
@@ -336,11 +339,13 @@ where
             let offset = clocks.offset(pid);
             let trace = trace.clone();
             let mut transport = ChannelTransport::<A> {
-                router_tx: router_tx.clone(),
+                inboxes: proc_txs.clone(),
                 rng: StdRng::seed_from_u64(seed ^ (idx as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
                 bounds,
                 msg_ids: Arc::clone(&msg_ids),
                 pending: Vec::new(),
+                now: epoch,
+                work: Arc::clone(&work),
             };
 
             worker_handles.push(thread::spawn(move || {
@@ -362,13 +367,12 @@ where
         RtCluster {
             epoch,
             proc_txs,
-            router_tx,
+            work,
             history,
             in_flight,
             resp_rxs,
             done_rx,
             worker_handles,
-            router_handle: Some(router_handle),
         }
     }
 
@@ -392,6 +396,7 @@ where
             pid,
             epoch: self.epoch,
             proc_tx: self.proc_txs[pid.index()].clone(),
+            work: Arc::clone(&self.work),
             resp_rx,
             history: Arc::clone(&self.history),
             in_flight: Arc::clone(&self.in_flight),
@@ -438,6 +443,7 @@ where
             op.clone(),
             instant_to_sim(self.epoch, Instant::now()),
         );
+        self.work.fetch_add(1, Ordering::AcqRel);
         self.proc_txs[pid.index()]
             .send(Input::Invoke(op_id, op))
             .expect("cluster has shut down");
@@ -544,19 +550,11 @@ where
     #[must_use]
     pub fn shutdown(mut self, settle: Duration) -> History<A::Op, A::Resp> {
         thread::sleep(settle);
-        // Drain order matters: the router is asked to shut down *first*
-        // and joined before any worker is told to stop. Its drain keeps
-        // holding and forwarding every in-flight message/batch — plus
-        // follow-up sends those deliveries trigger — until nothing has
-        // been in flight for a grace window; only then do workers get
-        // their shutdown marker (a FIFO inbox push, so it sorts after
-        // every forwarded delivery). The old order (workers first,
-        // router break on request) silently dropped queued deliveries
-        // on teardown.
-        let _ = self.router_tx.send(RouterMsg::Shutdown);
-        if let Some(h) = self.router_handle.take() {
-            h.join().expect("router thread panicked");
-        }
+        // Shutdown drains: a worker that has seen its marker keeps
+        // delivering messages and firing timers, including the
+        // follow-ups they trigger at any worker, and exits only once the
+        // cluster-wide work count is zero. Exiting at the marker would
+        // silently drop in-flight messages on teardown.
         for tx in &self.proc_txs {
             let _ = tx.send(Input::Shutdown);
         }
@@ -573,11 +571,24 @@ where
     }
 }
 
-/// One worker thread: a [`NodeCore`] activated by its inbox and its due
-/// timers. All effect/trace/history semantics live in the node core;
-/// this loop only decides *when* the node activates and relays
-/// completions to the cluster (clearing the in-flight flag *before*
-/// announcing, so a follow-up invocation never races the flag).
+/// How long an idle worker sleeps when nothing is scheduled. During
+/// shutdown the last unit of work may finish at another worker, so an
+/// idle draining worker rechecks the shared count this often.
+const IDLE_WAIT: Duration = Duration::from_millis(50);
+const DRAIN_POLL: Duration = Duration::from_millis(1);
+
+/// One worker thread: a [`NodeCore`] activated by its held deliveries,
+/// its due timers and its invocations. All effect/trace/history
+/// semantics live in the node core; this loop only decides *when* and
+/// in what order the node activates, and relays completions to the
+/// cluster (clearing the in-flight flag *before* announcing, so a
+/// follow-up invocation never races the flag).
+///
+/// Due messages and timers run in deadline order, a message first on a
+/// tie, then queued invocations. Every message is in the inbox from the
+/// instant it is sent, at least `d − u` before it is due, so a worker
+/// that wakes late still finds every event due by then and runs them in
+/// the order an on-time worker would have.
 #[allow(clippy::too_many_arguments)]
 fn worker_loop<A: Actor>(
     mut node: NodeCore<A>,
@@ -593,6 +604,8 @@ fn worker_loop<A: Actor>(
 ) {
     let pid = node.pid();
     let mut trace_out = RtTrace(trace);
+    let mut held: BinaryHeap<Delivery<A::Msg>> = BinaryHeap::new();
+    let mut invokes: VecDeque<(OpId, A::Op)> = VecDeque::new();
     let mut shutdown = false;
     let mut fired: u64 = 0;
 
@@ -624,11 +637,27 @@ fn worker_loop<A: Actor>(
         let _ = done_tx.send((pid, op_id));
     }
 
+    /// Files an inbox message: deliveries are held until due,
+    /// invocations queue in arrival order.
+    fn accept<A: Actor>(
+        input: Input<A>,
+        held: &mut BinaryHeap<Delivery<A::Msg>>,
+        invokes: &mut VecDeque<(OpId, A::Op)>,
+        shutdown: &mut bool,
+    ) {
+        match input {
+            Input::Invoke(op_id, op) => invokes.push_back((op_id, op)),
+            Input::Deliver(d) => held.push(d),
+            Input::Shutdown => *shutdown = true,
+        }
+    }
+
     // `ChannelTransport` never fails a send, so activation errors are
     // unreachable in this backend.
+    transport.now = Instant::now();
     let act = node
         .on_start(
-            stamp_now(epoch, offset),
+            stamp_at(epoch, offset, transport.now),
             transport,
             &mut trace_out,
             &mut SharedHistory(history),
@@ -637,76 +666,82 @@ fn worker_loop<A: Actor>(
     finish::<A>(act, pid, history, in_flight, resp_tx, done_tx);
 
     loop {
-        // Fire due timers first.
-        while let Some(t) = transport.pop_due() {
-            let act = node
-                .on_timer(
-                    stamp_now(epoch, offset),
+        // Read the clock before taking arrivals, so every message due by
+        // `now` is already filed when the next event is chosen.
+        let now = Instant::now();
+        while let Ok(input) = rx.try_recv() {
+            accept(input, &mut held, &mut invokes, &mut shutdown);
+        }
+        let msg_due = held.peek().map(|d| d.deliver_at).filter(|&at| at <= now);
+        let timer_due = transport.next_deadline().filter(|&at| at <= now);
+        let act = match (msg_due, timer_due) {
+            (Some(m), t) if t.is_none_or(|t| m <= t) => {
+                let d = held.pop().expect("peeked");
+                transport.now = Instant::now();
+                node.on_message(
+                    stamp_at(epoch, offset, transport.now),
+                    d.from,
+                    d.id,
+                    d.msg,
+                    transport,
+                    &mut trace_out,
+                    &mut SharedHistory(history),
+                )
+            }
+            (_, Some(_)) => {
+                let t = transport.pop_due(now).expect("a timer is due");
+                transport.now = Instant::now();
+                let act = node.on_timer(
+                    stamp_at(epoch, offset, transport.now),
                     t.id,
                     t.timer,
                     transport,
                     &mut trace_out,
                     &mut SharedHistory(history),
-                )
-                .expect("in-process transport is infallible");
-            if !matches!(act, Activation::Stale) {
-                fired += 1;
+                );
+                if !matches!(act, Ok(Activation::Stale)) {
+                    fired += 1;
+                }
+                act
             }
-            finish::<A>(act, pid, history, in_flight, resp_tx, done_tx);
-        }
-        if shutdown && !transport.has_pending() {
-            break;
-        }
-        let timeout = transport
-            .next_deadline()
-            .map(|at| at.saturating_duration_since(Instant::now()))
-            .unwrap_or(Duration::from_millis(50));
-        match rx.recv_timeout(timeout) {
-            Ok(Input::Shutdown) => shutdown = true,
-            Ok(Input::Invoke(op_id, op)) => {
-                let act = node
-                    .on_invoke_recorded(
-                        stamp_now(epoch, offset),
+            _ => {
+                if let Some((op_id, op)) = invokes.pop_front() {
+                    transport.now = Instant::now();
+                    node.on_invoke_recorded(
+                        stamp_at(epoch, offset, transport.now),
                         op_id,
                         op,
                         transport,
                         &mut trace_out,
                         &mut SharedHistory(history),
                     )
-                    .expect("in-process transport is infallible");
-                finish::<A>(act, pid, history, in_flight, resp_tx, done_tx);
+                } else {
+                    if shutdown && transport.work.load(Ordering::Acquire) == 0 {
+                        break;
+                    }
+                    let idle = if shutdown { DRAIN_POLL } else { IDLE_WAIT };
+                    let timeout = held
+                        .peek()
+                        .map(|d| d.deliver_at)
+                        .into_iter()
+                        .chain(transport.next_deadline())
+                        .min()
+                        .map_or(idle, |at| {
+                            at.saturating_duration_since(Instant::now()).min(idle)
+                        });
+                    match rx.recv_timeout(timeout) {
+                        Ok(input) => accept(input, &mut held, &mut invokes, &mut shutdown),
+                        Err(RecvTimeoutError::Timeout) => {}
+                        Err(RecvTimeoutError::Disconnected) => break,
+                    }
+                    continue;
+                }
             }
-            Ok(Input::Deliver(from, id, msg)) => {
-                let act = node
-                    .on_message(
-                        stamp_now(epoch, offset),
-                        from,
-                        id,
-                        msg,
-                        transport,
-                        &mut trace_out,
-                        &mut SharedHistory(history),
-                    )
-                    .expect("in-process transport is infallible");
-                finish::<A>(act, pid, history, in_flight, resp_tx, done_tx);
-            }
-            Ok(Input::DeliverBatch(from, first_id, msgs)) => {
-                let act = node
-                    .on_message_batch(
-                        stamp_now(epoch, offset),
-                        from,
-                        first_id,
-                        msgs,
-                        transport,
-                        &mut trace_out,
-                        &mut SharedHistory(history),
-                    )
-                    .expect("in-process transport is infallible");
-                finish::<A>(act, pid, history, in_flight, resp_tx, done_tx);
-            }
-            Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => break,
-        }
+        };
+        let act = act.expect("in-process transport is infallible");
+        finish::<A>(act, pid, history, in_flight, resp_tx, done_tx);
+        // Taken off only now, after the activation added its follow-ups.
+        transport.work.fetch_sub(1, Ordering::AcqRel);
     }
     // One counter line per worker; trace consumers sum across processes.
     if let Some(sink) = trace {
@@ -719,8 +754,8 @@ fn worker_loop<A: Actor>(
 /// observed [`History`].
 ///
 /// The runtime shuts down `settle` after the last scripted invocation's
-/// response; in-flight messages beyond that point are dropped, so choose
-/// `settle` comfortably above `d`.
+/// response, once every message and timer still in flight has been
+/// handled.
 ///
 /// # Panics
 ///
@@ -810,79 +845,67 @@ mod tests {
         assert!(history.records()[0].latency().unwrap().as_ticks() >= 3000);
     }
 
-    /// On invoke, broadcast a `send_batch` to every peer; peers ack the
-    /// whole batch with one message; the origin responds once every
-    /// peer has acked.
+    /// On invoke, send `op` messages to every peer; each peer acks once
+    /// it has all of them; the origin responds once every peer has
+    /// acked.
     #[derive(Debug, Default)]
-    struct BatchFlood {
+    struct Flood {
+        received: u32,
         acks: u32,
     }
 
-    impl Actor for BatchFlood {
-        type Msg = i64; // −1 = batch ack, anything else = payload
-        type Op = u32; // batch size
+    impl Actor for Flood {
+        type Msg = i64; // −1 = ack, anything else = payload `i` of `op`
+        type Op = u32; // messages per peer
         type Resp = u32; // acks received
         type Timer = ();
 
         fn on_invoke(&mut self, op: u32, ctx: &mut Context<'_, Self>) {
-            for p in 0..ctx.n() as u32 {
-                let p = ProcessId::new(p);
-                if p != ctx.pid() {
-                    ctx.send_batch(p, (0..i64::from(op)).collect());
-                }
+            for i in 0..i64::from(op) {
+                ctx.broadcast(i64::from(op) * 1000 + i);
             }
         }
 
-        fn on_message(&mut self, _from: ProcessId, msg: i64, ctx: &mut Context<'_, Self>) {
+        fn on_message(&mut self, from: ProcessId, msg: i64, ctx: &mut Context<'_, Self>) {
             if msg == -1 {
                 self.acks += 1;
                 if self.acks == ctx.n() as u32 - 1 {
                     ctx.respond(self.acks);
                 }
+            } else {
+                self.received += 1;
+                if i64::from(self.received) == msg / 1000 {
+                    ctx.send(from, -1);
+                }
             }
-        }
-
-        fn on_message_batch(
-            &mut self,
-            from: ProcessId,
-            msgs: Vec<i64>,
-            ctx: &mut Context<'_, Self>,
-        ) {
-            assert!(!msgs.is_empty());
-            ctx.send(from, -1);
         }
 
         fn on_timer(&mut self, _t: (), _ctx: &mut Context<'_, Self>) {}
     }
 
     /// Regression: tearing the cluster down with zero settle while
-    /// batches (and the acks they trigger) are still queued inside the
-    /// router must not drop them. The router used to break out of its
-    /// loop the moment it saw the shutdown marker, silently discarding
-    /// its delivery heap; now it drains to quiescence first, so the
+    /// messages (and the acks they trigger) are still held for delivery
+    /// must not drop them. Workers drain until the cluster-wide work
+    /// count is zero instead of exiting at the shutdown marker, so the
     /// flooded run still completes.
     #[test]
-    fn shutdown_drains_in_flight_batches() {
+    fn shutdown_drains_in_flight_messages() {
         let bounds = DelayBounds::new(
             SimDuration::from_ticks(2000), // 2 ms
             SimDuration::from_ticks(1000),
         );
         let cluster = RtCluster::start(
-            vec![
-                BatchFlood::default(),
-                BatchFlood::default(),
-                BatchFlood::default(),
-            ],
+            vec![Flood::default(), Flood::default(), Flood::default()],
             &ClockAssignment::zero(3),
             bounds,
             11,
         );
         cluster.invoke_async(ProcessId::new(0), 64);
-        // No settle: the 64-message batches are still in flight.
+        // No settle: the 64 messages per peer are still in flight.
         let history = cluster.shutdown(Duration::ZERO);
         assert!(
             history.is_complete(),
-            "teardown dropped in-flight batches: {history:?}"
+            "teardown dropped in-flight messages: {history:?}"
         );
         assert_eq!(history.records()[0].resp(), Some(&2));
     }

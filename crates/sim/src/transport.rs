@@ -10,21 +10,20 @@
 //!   calendar queue ([`crate::equeue`]) — a send is assigned a delay by
 //!   the [`DelayModel`] and popped back at
 //!   `sent_at + delay` in deterministic `(time, seq)` order;
-//! * the real-thread runtime implements it with a delay-injecting
-//!   router thread plus per-worker mpsc channels — a send is assigned a
-//!   seeded random delay within the same `[d − u, d]` bounds and
-//!   delivered when the wall clock reaches `sent_at + delay`.
+//! * the real-thread runtime implements it with per-worker mpsc
+//!   inboxes — a send is assigned a seeded random delay within the same
+//!   `[d − u, d]` bounds, pushed to the receiver at once, and held
+//!   there until the wall clock reaches `sent_at + delay`.
 //!
 //! Every message and timer a node produces passes through this single
 //! choke point, which is what makes delay injection, trace pairing and
 //! future drop/duplicate fault hooks land once for both backends.
 
 use core::fmt;
-use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender, SyncSender};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::mpsc::Sender;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use fxhash::FxHashMap;
 use rand::rngs::StdRng;
@@ -99,34 +98,6 @@ pub trait Transport<A: Actor> {
         to: ProcessId,
         msg: A::Msg,
     ) -> Result<MsgId, TransportError>;
-
-    /// Enqueues a delivery *batch*: `msgs` travel to `to` together,
-    /// under one delay draw, and arrive as a single
-    /// [`Actor::on_message_batch`] activation. Returns the id of the
-    /// first message; the batch occupies ids `first..first + msgs.len()`
-    /// consecutively so per-message trace events still pair up.
-    ///
-    /// The default forwards each message through [`Transport::send`] —
-    /// correct but unamortized (one queue entry and one delay draw per
-    /// message). The engine and the real-thread runtime both override it
-    /// with true single-entry framing.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `msgs` is empty.
-    fn send_batch(
-        &mut self,
-        from: ProcessId,
-        to: ProcessId,
-        msgs: Vec<A::Msg>,
-    ) -> Result<MsgId, TransportError> {
-        let mut first = None;
-        for msg in msgs {
-            let id = self.send(from, to, msg)?;
-            first.get_or_insert(id);
-        }
-        Ok(first.expect("empty delivery batch"))
-    }
 
     /// Enqueues the expiry of timer `id` at `pid`, `delay` *local
     /// clock* ticks from now. The id is already live in the node's
@@ -229,7 +200,6 @@ impl PairSeq {
 pub(crate) enum EvSlot {
     Invoke,
     Deliver,
-    DeliverBatch,
     Timer,
 }
 
@@ -248,15 +218,6 @@ pub(crate) struct MsgPayload<M> {
     pub(crate) from: ProcessId,
     pub(crate) id: MsgId,
     pub(crate) msg: M,
-}
-
-/// Slab payload of an in-flight delivery batch: one queue entry and one
-/// slab slot carry the whole batch, whose messages hold the consecutive
-/// ids `first_id..first_id + msgs.len()`.
-pub(crate) struct BatchPayload<M> {
-    pub(crate) from: ProcessId,
-    pub(crate) first_id: MsgId,
-    pub(crate) msgs: Vec<M>,
 }
 
 /// The engine's [`Transport`]: a virtual-time calendar queue over
@@ -281,7 +242,6 @@ pub(crate) struct VirtualTransport<A: Actor, D: DelayModel> {
     pub(crate) queue: CalendarQueue<EvTag>,
     pub(crate) ops: Slab<A::Op>,
     pub(crate) msgs: Slab<MsgPayload<A::Msg>>,
-    pub(crate) batches: Slab<BatchPayload<A::Msg>>,
     pub(crate) timer_payloads: Slab<(TimerId, A::Timer)>,
     pub(crate) seq: u64,
     pub(crate) now: SimTime,
@@ -308,9 +268,6 @@ impl<A: Actor, D: DelayModel> VirtualTransport<A, D> {
             // n - 1 messages in flight per concurrent writer, and growth
             // past capacity is a realloc-copy on the hot path.
             msgs: Slab::with_capacity(8 * n + 16),
-            // Batched sends are opt-in; start empty and let the slab grow
-            // to the workload's steady-state batch fan-out.
-            batches: Slab::new(),
             timer_payloads: Slab::with_capacity(2 * n + 16),
             delays,
             bounds,
@@ -353,14 +310,6 @@ impl<A: Actor, D: DelayModel> VirtualTransport<A, D> {
                     msg_id: p.id,
                 }
             }
-            EvSlot::DeliverBatch => {
-                let p = self.batches.take(tag.slot);
-                EventKind::DeliverBatch {
-                    from: p.from,
-                    first_id: p.first_id,
-                    msgs: p.msgs,
-                }
-            }
             EvSlot::Timer => {
                 let (id, timer) = self.timer_payloads.take(tag.slot);
                 EventKind::Timer { id, timer }
@@ -368,15 +317,12 @@ impl<A: Actor, D: DelayModel> VirtualTransport<A, D> {
         }
     }
 
-    /// Payloads currently live across all four event arenas. Every pop
+    /// Payloads currently live across all three event arenas. Every pop
     /// takes its payload out of the owning slab (stale timers included),
     /// so this must be zero whenever the event queue is empty — the
     /// end-of-run leak check the engine asserts and reports.
     pub(crate) fn live_payloads(&self) -> usize {
-        self.ops.live_count()
-            + self.msgs.live_count()
-            + self.batches.live_count()
-            + self.timer_payloads.live_count()
+        self.ops.live_count() + self.msgs.live_count() + self.timer_payloads.live_count()
     }
 
     pub(crate) fn push_invoke(&mut self, pid: ProcessId, at: SimTime, op: A::Op) {
@@ -448,66 +394,6 @@ impl<A: Actor, D: DelayModel> Transport<A> for VirtualTransport<A, D> {
         Ok(id)
     }
 
-    fn send_batch(
-        &mut self,
-        from: ProcessId,
-        to: ProcessId,
-        msgs: Vec<A::Msg>,
-    ) -> Result<MsgId, TransportError> {
-        assert!(!msgs.is_empty(), "empty delivery batch {from}->{to}");
-        // One pair-seq tick and one delay draw for the whole batch: the
-        // batch is one wire-level message as far as the delay model is
-        // concerned.
-        let pair_seq = self.pair_seq.next(from, to);
-        let meta = MsgMeta {
-            from,
-            to,
-            sent_at: self.now,
-            pair_seq,
-        };
-        let delay = self.delays.delay(meta);
-        assert!(
-            self.bounds.contains(delay),
-            "delay model produced inadmissible delay {delay:?} for {from}->{to} \
-             (bounds [{:?}, {:?}])",
-            self.bounds.min(),
-            self.bounds.max()
-        );
-        let recv_at = self.now + delay;
-        let first_id = MsgId::new(self.next_msg_id);
-        self.next_msg_id += msgs.len() as u64;
-        if self.log_messages {
-            // The log stays per-message (checkers pair ids one-to-one);
-            // all entries of a batch share the send/recv instants.
-            for i in 0..msgs.len() {
-                self.msg_log.push(MsgEvent {
-                    id: MsgId::new(first_id.as_u64() + i as u64),
-                    from,
-                    to,
-                    sent_at: self.now,
-                    delay,
-                    recv_at,
-                });
-            }
-        }
-        let slot = self.batches.insert(BatchPayload {
-            from,
-            first_id,
-            msgs,
-        });
-        let seq = self.bump_seq();
-        self.queue.push(
-            recv_at,
-            seq,
-            EvTag {
-                pid: to,
-                kind: EvSlot::DeliverBatch,
-                slot,
-            },
-        );
-        Ok(first_id)
-    }
-
     fn set_timer(&mut self, pid: ProcessId, id: TimerId, delay: SimDuration, timer: A::Timer) {
         // Timer delays are in clock units; under drift (a non-unit
         // clock rate) convert to real time.
@@ -526,30 +412,6 @@ impl<A: Actor, D: DelayModel> Transport<A> for VirtualTransport<A, D> {
     }
 }
 
-/// The real-thread runtime's wire format to its router thread.
-pub(crate) enum RouterMsg<M> {
-    /// Deliver `msg` to `to` when the wall clock reaches `deliver_at`.
-    Send {
-        from: ProcessId,
-        to: ProcessId,
-        id: MsgId,
-        msg: M,
-        deliver_at: Instant,
-    },
-    /// Deliver a whole batch to `to` in one inbox push when the wall
-    /// clock reaches `deliver_at`. The messages hold the consecutive ids
-    /// `first_id..first_id + msgs.len()`.
-    SendBatch {
-        from: ProcessId,
-        to: ProcessId,
-        first_id: MsgId,
-        msgs: Vec<M>,
-        deliver_at: Instant,
-    },
-    /// Stop the router.
-    Shutdown,
-}
-
 /// A timer armed by a real-thread worker's node, waiting for its
 /// wall-clock deadline.
 pub(crate) struct PendingTimer<T> {
@@ -558,26 +420,37 @@ pub(crate) struct PendingTimer<T> {
     pub(crate) timer: T,
 }
 
-/// The real-thread runtime's [`Transport`]: sends go to the
-/// delay-injecting router thread with a seeded random delay within the
-/// cluster bounds; timers wait in the worker's own pending list (the
-/// worker sleeps until the earliest deadline). Cancels prune the
-/// pending list eagerly so shutdown never waits on a cancelled timer.
+/// The real-thread runtime's [`Transport`]: a send goes straight into
+/// the destination worker's inbox with a seeded random delivery instant
+/// within the cluster bounds, and the receiver holds it until then;
+/// timers wait in the worker's own pending list. Both deadlines count
+/// from [`ChannelTransport::now`], the instant at which the activation
+/// read its clock, so the delays a node asks for are measured from the
+/// clock reading it acted on. Cancels prune the pending list eagerly so
+/// shutdown never waits on a cancelled timer.
 pub(crate) struct ChannelTransport<A: Actor> {
-    pub(crate) router_tx: Sender<RouterMsg<A::Msg>>,
+    /// Every worker's inbox, indexed by process.
+    pub(crate) inboxes: Vec<Sender<Input<A>>>,
     pub(crate) rng: StdRng,
     pub(crate) bounds: DelayBounds,
     /// Global send-order message id allocator, shared with every other
     /// worker so trace `send`/`deliver` events pair by id cluster-wide.
     pub(crate) msg_ids: Arc<AtomicU64>,
     pub(crate) pending: Vec<PendingTimer<A::Timer>>,
+    /// The instant of the activation in progress.
+    pub(crate) now: Instant,
+    /// Cluster-wide count of work not yet done: invocations and
+    /// messages not yet handled plus timers armed and not yet fired or
+    /// cancelled. An activation adds its follow-up work before its own
+    /// unit is taken off, so once shutdown is requested the count
+    /// reaching zero means no worker will ever be activated again.
+    pub(crate) work: Arc<AtomicUsize>,
 }
 
 impl<A: Actor> ChannelTransport<A> {
-    /// Pops the due pending timer with the earliest `(deadline, id)`,
-    /// if any.
-    pub(crate) fn pop_due(&mut self) -> Option<PendingTimer<A::Timer>> {
-        let now = Instant::now();
+    /// Pops the pending timer with the earliest `(deadline, id)` if it
+    /// is due at `now`.
+    pub(crate) fn pop_due(&mut self, now: Instant) -> Option<PendingTimer<A::Timer>> {
         let due = self
             .pending
             .iter()
@@ -592,10 +465,6 @@ impl<A: Actor> ChannelTransport<A> {
     pub(crate) fn next_deadline(&self) -> Option<Instant> {
         self.pending.iter().map(|t| t.fire_at).min()
     }
-
-    pub(crate) fn has_pending(&self) -> bool {
-        !self.pending.is_empty()
-    }
 }
 
 impl<A: Actor> Transport<A> for ChannelTransport<A> {
@@ -608,53 +477,34 @@ impl<A: Actor> Transport<A> for ChannelTransport<A> {
         let ticks = self
             .rng
             .gen_range(self.bounds.min().as_ticks()..=self.bounds.max().as_ticks());
-        let deliver_at = Instant::now() + ticks_to_duration(SimDuration::from_ticks(ticks));
+        let deliver_at = self.now + ticks_to_duration(SimDuration::from_ticks(ticks));
         let id = MsgId::new(self.msg_ids.fetch_add(1, Ordering::Relaxed));
-        // A closed router means shutdown is in progress; that is not an
-        // error (the cluster is draining), so this path stays infallible.
-        let _ = self.router_tx.send(RouterMsg::Send {
+        self.work.fetch_add(1, Ordering::AcqRel);
+        // Inboxes stay open while any worker runs (every worker holds
+        // them all), so this path stays infallible.
+        let _ = self.inboxes[to.index()].send(Input::Deliver(Delivery {
+            deliver_at,
             from,
-            to,
             id,
             msg,
-            deliver_at,
-        });
+        }));
         Ok(id)
     }
 
-    fn send_batch(
-        &mut self,
-        from: ProcessId,
-        to: ProcessId,
-        msgs: Vec<A::Msg>,
-    ) -> Result<MsgId, TransportError> {
-        assert!(!msgs.is_empty(), "empty delivery batch {from}->{to}");
-        let ticks = self
-            .rng
-            .gen_range(self.bounds.min().as_ticks()..=self.bounds.max().as_ticks());
-        let deliver_at = Instant::now() + ticks_to_duration(SimDuration::from_ticks(ticks));
-        let first_id = MsgId::new(self.msg_ids.fetch_add(msgs.len() as u64, Ordering::Relaxed));
-        // A closed router means shutdown is in progress.
-        let _ = self.router_tx.send(RouterMsg::SendBatch {
-            from,
-            to,
-            first_id,
-            msgs,
-            deliver_at,
-        });
-        Ok(first_id)
-    }
-
     fn set_timer(&mut self, _pid: ProcessId, id: TimerId, delay: SimDuration, timer: A::Timer) {
+        self.work.fetch_add(1, Ordering::AcqRel);
         self.pending.push(PendingTimer {
-            fire_at: Instant::now() + ticks_to_duration(delay),
+            fire_at: self.now + ticks_to_duration(delay),
             id,
             timer,
         });
     }
 
     fn cancel_timer(&mut self, _pid: ProcessId, id: TimerId) {
+        let before = self.pending.len();
         self.pending.retain(|t| t.id != id);
+        self.work
+            .fetch_sub(before - self.pending.len(), Ordering::AcqRel);
     }
 }
 
@@ -662,146 +512,38 @@ impl<A: Actor> Transport<A> for ChannelTransport<A> {
 pub(crate) enum Input<A: Actor> {
     /// Invoke an operation already recorded in the history as `OpId`.
     Invoke(OpId, A::Op),
-    /// Deliver a message from another process.
-    Deliver(ProcessId, MsgId, A::Msg),
-    /// Deliver a batch from another process: `(from, first_id, msgs)`.
-    DeliverBatch(ProcessId, MsgId, Vec<A::Msg>),
-    /// Drain pending timers, then exit.
+    /// A message from another process, to be delivered at its
+    /// `deliver_at`.
+    Deliver(Delivery<A::Msg>),
+    /// Finish the remaining work, then exit.
     Shutdown,
 }
 
-/// A heap entry's cargo: one message or one batch.
-enum Wire<M> {
-    One(M),
-    Batch(Vec<M>),
+/// One message held by its receiving worker until its delivery instant.
+/// Ordered so that a [`BinaryHeap`](std::collections::BinaryHeap) pops the earliest
+/// `(deliver_at, id)` first; ids are global send order, so ties break
+/// deterministically.
+pub(crate) struct Delivery<M> {
+    pub(crate) deliver_at: Instant,
+    pub(crate) from: ProcessId,
+    pub(crate) id: MsgId,
+    pub(crate) msg: M,
 }
 
-/// One in-flight message (or batch) inside the router's delivery heap.
-struct HeapEntry<M> {
-    deliver_at: Instant,
-    seq: u64,
-    to: ProcessId,
-    from: ProcessId,
-    id: MsgId,
-    wire: Wire<M>,
-}
-
-impl<M> PartialEq for HeapEntry<M> {
+impl<M> PartialEq for Delivery<M> {
     fn eq(&self, other: &Self) -> bool {
-        self.deliver_at == other.deliver_at && self.seq == other.seq
+        self.deliver_at == other.deliver_at && self.id == other.id
     }
 }
-impl<M> Eq for HeapEntry<M> {}
-impl<M> PartialOrd for HeapEntry<M> {
+impl<M> Eq for Delivery<M> {}
+impl<M> PartialOrd for Delivery<M> {
     fn partial_cmp(&self, other: &Self) -> Option<core::cmp::Ordering> {
         Some(self.cmp(other))
     }
 }
-impl<M> Ord for HeapEntry<M> {
+impl<M> Ord for Delivery<M> {
     fn cmp(&self, other: &Self) -> core::cmp::Ordering {
-        (other.deliver_at, other.seq).cmp(&(self.deliver_at, self.seq))
-    }
-}
-
-/// After a shutdown request, how long the router lingers with an empty
-/// heap waiting for follow-up sends. Workers are still running at that
-/// point, and a delivery the router forwards can cause a worker to send
-/// again (e.g. a token making its way around a ring); any such send
-/// re-arms the drain. Only a full grace window with nothing in flight
-/// ends it.
-const DRAIN_GRACE: Duration = Duration::from_millis(40);
-
-/// The delay-injecting router: receives [`RouterMsg::Send`]s from every
-/// [`ChannelTransport`], holds each message until its wall-clock
-/// `deliver_at`, then forwards it to the destination worker's inbox in
-/// deterministic `(deliver_at, seq)` order. Runs on its own thread
-/// until shutdown or until all senders hang up.
-///
-/// Shutdown *drains*: after [`RouterMsg::Shutdown`] (or after every
-/// sender hangs up) the router keeps holding and forwarding everything
-/// already accepted — plus any follow-up sends workers make in response
-/// — and only exits once the heap has been empty for a full
-/// [`DRAIN_GRACE`] with no new sends arriving. Breaking out immediately
-/// would silently drop in-flight messages and batches on cluster
-/// teardown.
-pub(crate) fn run_router<A: Actor>(
-    router_rx: &Receiver<RouterMsg<A::Msg>>,
-    proc_txs: &[SyncSender<Input<A>>],
-) {
-    let mut heap: BinaryHeap<HeapEntry<A::Msg>> = BinaryHeap::new();
-    let mut seq = 0u64;
-    let mut draining = false;
-    loop {
-        let timeout = match heap.peek() {
-            Some(e) => e.deliver_at.saturating_duration_since(Instant::now()),
-            None if draining => DRAIN_GRACE,
-            None => Duration::from_secs(3600),
-        };
-        match router_rx.recv_timeout(timeout) {
-            Ok(RouterMsg::Send {
-                from,
-                to,
-                id,
-                msg,
-                deliver_at,
-            }) => {
-                heap.push(HeapEntry {
-                    deliver_at,
-                    seq,
-                    to,
-                    from,
-                    id,
-                    wire: Wire::One(msg),
-                });
-                seq += 1;
-            }
-            Ok(RouterMsg::SendBatch {
-                from,
-                to,
-                first_id,
-                msgs,
-                deliver_at,
-            }) => {
-                heap.push(HeapEntry {
-                    deliver_at,
-                    seq,
-                    to,
-                    from,
-                    id: first_id,
-                    wire: Wire::Batch(msgs),
-                });
-                seq += 1;
-            }
-            Ok(RouterMsg::Shutdown) => draining = true,
-            Err(RecvTimeoutError::Timeout) if draining && heap.is_empty() => break,
-            Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => {
-                // No sender can ever enqueue again; deliver the backlog
-                // synchronously (sleeping to each deadline) and exit.
-                while let Some(e) = heap.pop() {
-                    let wait = e.deliver_at.saturating_duration_since(Instant::now());
-                    if !wait.is_zero() {
-                        std::thread::sleep(wait);
-                    }
-                    let _ = proc_txs[e.to.index()].send(match e.wire {
-                        Wire::One(msg) => Input::Deliver(e.from, e.id, msg),
-                        Wire::Batch(msgs) => Input::DeliverBatch(e.from, e.id, msgs),
-                    });
-                }
-                break;
-            }
-        }
-        while let Some(e) = heap.peek() {
-            if e.deliver_at > Instant::now() {
-                break;
-            }
-            let e = heap.pop().expect("peeked");
-            // A closed worker means shutdown is in progress.
-            let _ = proc_txs[e.to.index()].send(match e.wire {
-                Wire::One(msg) => Input::Deliver(e.from, e.id, msg),
-                Wire::Batch(msgs) => Input::DeliverBatch(e.from, e.id, msgs),
-            });
-        }
+        (other.deliver_at, other.id).cmp(&(self.deliver_at, self.id))
     }
 }
 

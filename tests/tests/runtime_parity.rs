@@ -79,7 +79,7 @@ fn same_workload_runs_on_both_backends() {
     assert_eq!(engine_history.len(), expected_ops);
     assert_linearizable(&Counter::default(), &engine_history);
 
-    // Real-thread run: OS threads, router-injected delays in the same
+    // Real-thread run: OS threads, injected delays in the same
     // [d − u, d] bounds, the same driver definition.
     let rt_history = run_history_rt(
         Replica::group(Counter::default(), &params),
