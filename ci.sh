@@ -70,6 +70,21 @@ if ! grep -qF '(0 mismatched)' "$bench_log"; then
 fi
 echo "traced benchmark: correct, 0 failed, 0 mismatched"
 
+echo "== traced benchmark: model checker on the honest register =="
+# Every query must come back all-passed: a violation, an undecided
+# history or a capped exploration counts as failed.
+mc_log=target/skewbench-mc.log
+bash skewbench/run.sh --workload mc-register --seed 1 --seconds 3 --trace 1 \
+  | tee "$mc_log"
+mc_last=$(tail -n 1 "$mc_log")
+for want in '"correct": true' '"failed": 0,'; do
+  if ! grep -qF "$want" <<<"$mc_last"; then
+    echo "traced mc-register result lacks $want: $mc_last" >&2
+    exit 1
+  fi
+done
+echo "traced mc-register benchmark: correct, 0 failed"
+
 echo "== grid bench smoke + 100k-process scale run + shard scaling (budget 120s) =="
 timeout 120 cargo run --release -p skewbound-bench --bin tables -- \
   --object register --scale 100000 --shards 1,4,8 >/dev/null

@@ -4,23 +4,30 @@
 //! [`skewbound_shift::exhaustive_probe`] enumerates delay and clock
 //! assignments but leaves same-time events in the engine's deterministic
 //! FIFO order. This module closes that gap: a [`SchedulePolicy`] replays
-//! a recorded choice prefix and branches over every order of same-time
+//! a recorded choice prefix and branches over the orders of same-time
 //! event batches, turning the engine into a stateless model checker
 //! (re-execution instead of state snapshots, in the Verisoft tradition).
 //!
-//! Exploration is pruned with **sleep sets**: after the branch executing
-//! event `a` before its sibling `b` has been fully explored, the branch
-//! that defers `a` keeps `a` asleep until some executed event is
-//! *dependent* with it — if `a` is still asleep when it would run, the
-//! interleaving is a commutation of one already checked and the run is
-//! abandoned ([`SimError::PolicyAbort`]). Independence is structural
-//! (events at different processes commute; the engine applies them to
-//! disjoint actors) plus semantic: two same-process deliveries commute
-//! when their payload operations commute on every probe state
+//! Exploration is pruned with **persistent sets and sleep sets**
+//! (Godefroid, LNCS 1032). At each step the policy branches only over a
+//! persistent set of the batch: an event independent of every other
+//! enabled event runs alone, otherwise the alternatives are the
+//! dependence closure of the batch's first non-sleeping event. After the
+//! branch executing event `a` before its sibling `b` has been fully
+//! explored, the branch that defers `a` keeps `a` asleep until some
+//! executed event is *dependent* with it — if every enabled event is
+//! asleep, the interleaving is a commutation of one already checked and
+//! the run is abandoned ([`SimError::PolicyAbort`]). Independence is
+//! structural (events at different processes commute; the engine applies
+//! them to disjoint actors) plus semantic: two same-process deliveries
+//! commute when their payload operations commute on every probe state
 //! ([`immediately_non_commuting`] finds no witness). The semantic check
-//! is an approximation on the probe set — see `DESIGN.md §8` for why
-//! this is used as a *reduction* only in tandem with batches that are
-//! conservatively re-branched whenever any pair is dependent.
+//! is an approximation on the probe set — see `DESIGN.md §8`.
+//!
+//! The reduction assumes no activation enqueues an event at its own
+//! instant. A run that breaks this (a zero message delay or a
+//! zero-length timer) is stopped with
+//! [`ViolationKind::SameInstantEvent`], which voids the exploration.
 //!
 //! Every run additionally passes through the linearizability checker and
 //! the [`skewbound_core::invariants`] protocol invariants; violations
@@ -137,6 +144,17 @@ pub enum ViolationKind {
         /// orders, both counts).
         detail: String,
     },
+    /// An activation enqueued an event at its own instant (a zero
+    /// message delay, e.g. the `d − u` corner with `u = d`, or a
+    /// zero-length timer). The same-time reduction assumes every
+    /// activation enqueues strictly later events; without that it can
+    /// skip orders, so no verdict of the exploration is sound and the
+    /// whole report is this single violation, at the coordinate of the
+    /// first run that broke the assumption.
+    SameInstantEvent {
+        /// Which event was enqueued, where and when.
+        detail: String,
+    },
 }
 
 impl ViolationKind {
@@ -148,7 +166,18 @@ impl ViolationKind {
             ViolationKind::IncompleteHistory => "incomplete-history",
             ViolationKind::Invariant { .. } => "invariant",
             ViolationKind::SendOrderDivergence { .. } => "send-order-divergence",
+            ViolationKind::SameInstantEvent { .. } => "same-instant-event",
         }
+    }
+
+    /// `true` for a violation of the exploration's own precondition
+    /// rather than of one run: the report carries it alone.
+    #[must_use]
+    pub fn voids_exploration(&self) -> bool {
+        matches!(
+            self,
+            ViolationKind::SendOrderDivergence { .. } | ViolationKind::SameInstantEvent { .. }
+        )
     }
 
     /// `true` when `other` is the same *kind* of failure (for invariant
@@ -178,6 +207,9 @@ impl core::fmt::Display for ViolationKind {
             }
             ViolationKind::SendOrderDivergence { detail } => {
                 write!(f, "send order depends on delays: {detail}")
+            }
+            ViolationKind::SameInstantEvent { detail } => {
+                write!(f, "event enqueued at its own instant: {detail}")
             }
         }
     }
@@ -294,9 +326,8 @@ impl McReport {
     }
 }
 
-/// Sleep-set key: what we must remember about an event to decide
-/// dependence later, after its `EventView` is gone.
-#[derive(Debug, Clone)]
+/// What the dependence relation needs to know about an event.
+#[derive(Debug)]
 enum EvKey<Op> {
     Invoke(ProcessId),
     Timer(ProcessId),
@@ -355,10 +386,21 @@ fn dependent<S: SequentialSpec>(
 /// which it took.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChoicePoint {
-    /// Non-sleeping candidates in the batch.
+    /// Size of the branched-over set: the non-sleeping members of the
+    /// batch's persistent set (the dependence closure of its first
+    /// non-sleeping event), in batch order. Always at least 2 — a
+    /// single alternative runs without a choice point.
     pub alts: usize,
     /// Index of the branch taken.
     pub chosen: usize,
+}
+
+/// Bits per word of a dependence row.
+const WORD: usize = 64;
+
+/// Bit `i` of a multi-word bitmask.
+fn bit(words: &[u64], i: usize) -> bool {
+    words[i / WORD] >> (i % WORD) & 1 == 1
 }
 
 /// A [`SchedulePolicy`] that replays a choice prefix, defaults to the
@@ -370,7 +412,27 @@ struct ReplayPolicy<'a, S: SequentialSpec> {
     plan: &'a [usize],
     depth: usize,
     trace: Vec<ChoicePoint>,
-    sleep: Vec<(u64, EvKey<S::Op>)>,
+    /// Sequence numbers of the sleeping events. They all belong to the
+    /// current instant's batch: a sleeper is never run while asleep, and
+    /// the engine finishes an instant before it starts the next.
+    sleep: Vec<u64>,
+    /// The instant of the last batch and the highest sequence number
+    /// enqueued when it first formed; a later sequence number at the
+    /// same instant was enqueued by an activation at that instant.
+    instant: Option<(SimTime, u64)>,
+    /// Set when the run broke the same-instant precondition (and was
+    /// abandoned for it).
+    same_instant: Option<String>,
+    // Per-step scratch, reused so a step allocates nothing.
+    keys: Vec<EvKey<S::Op>>,
+    cands: Vec<usize>,
+    alts: Vec<usize>,
+    /// The batch's dependence relation, one `⌈k / 64⌉`-word row per
+    /// event: bit `j` of row `i` is set when events `i` and `j` are
+    /// dependent.
+    rows: Vec<u64>,
+    closure: Vec<u64>,
+    todo: Vec<usize>,
 }
 
 impl<'a, S: SequentialSpec> ReplayPolicy<'a, S> {
@@ -388,7 +450,81 @@ impl<'a, S: SequentialSpec> ReplayPolicy<'a, S> {
             depth: 0,
             trace: Vec::new(),
             sleep: Vec::new(),
+            instant: None,
+            same_instant: None,
+            keys: Vec::new(),
+            cands: Vec::new(),
+            alts: Vec::new(),
+            rows: Vec::new(),
+            closure: Vec::new(),
+            todo: Vec::new(),
         }
+    }
+
+    /// Words per dependence row for the current batch.
+    fn row_words(&self) -> usize {
+        self.keys.len().div_ceil(WORD)
+    }
+
+    /// Fills `rows` with the batch's dependence relation: `k(k − 1)/2`
+    /// calls to [`dependent`].
+    fn fill_rows(&mut self) {
+        let (k, w) = (self.keys.len(), self.row_words());
+        self.rows.clear();
+        self.rows.resize(k * w, 0);
+        for a in 0..k {
+            for b in a + 1..k {
+                let dep = dependent(
+                    self.independence,
+                    self.spec,
+                    self.states,
+                    &self.keys[a],
+                    &self.keys[b],
+                );
+                if dep {
+                    self.rows[a * w + b / WORD] |= 1 << (b % WORD);
+                    self.rows[b * w + a / WORD] |= 1 << (a % WORD);
+                }
+            }
+        }
+    }
+
+    /// Fills `alts` with the non-sleeping members of a persistent set of
+    /// the batch. A candidate independent of every other enabled event
+    /// is a persistent set on its own; otherwise the dependence closure
+    /// of the first candidate is.
+    fn persistent_alts(&mut self) {
+        self.fill_rows();
+        self.alts.clear();
+        let w = self.row_words();
+        let lone = self
+            .cands
+            .iter()
+            .find(|&&c| self.rows[c * w..(c + 1) * w].iter().all(|&x| x == 0));
+        if let Some(&c) = lone {
+            self.alts.push(c);
+            return;
+        }
+        let first = self.cands[0];
+        self.closure.clear();
+        self.closure.resize(w, 0);
+        self.closure[first / WORD] |= 1 << (first % WORD);
+        self.todo.clear();
+        self.todo.push(first);
+        while let Some(i) = self.todo.pop() {
+            for word in 0..w {
+                let mut grown = self.rows[i * w + word] & !self.closure[word];
+                self.closure[word] |= grown;
+                while grown != 0 {
+                    self.todo
+                        .push(word * WORD + grown.trailing_zeros() as usize);
+                    grown &= grown - 1;
+                }
+            }
+        }
+        let closure = &self.closure;
+        self.alts
+            .extend(self.cands.iter().filter(|&&c| bit(closure, c)));
     }
 }
 
@@ -396,67 +532,73 @@ impl<A> SchedulePolicy<A> for ReplayPolicy<'_, A::Spec>
 where
     A: ModelActor,
 {
-    fn choose(&mut self, _now: SimTime, enabled: &[EventView<'_, A>]) -> ScheduleDecision {
-        let keys: Vec<EvKey<A::Op>> = enabled.iter().map(key_of::<A>).collect();
-        let cands: Vec<usize> = (0..enabled.len())
-            .filter(|&i| !self.sleep.iter().any(|(seq, _)| *seq == enabled[i].seq()))
-            .collect();
-        if cands.is_empty() {
+    fn choose(&mut self, now: SimTime, enabled: &[EventView<'_, A>]) -> ScheduleDecision {
+        match self.instant {
+            Some((at, first_max)) if at == now => {
+                if let Some(ev) = enabled.iter().find(|e| e.seq() > first_max) {
+                    let what = match ev {
+                        EventView::Invoke { .. } => "an invocation",
+                        EventView::Deliver { .. } => "a delivery",
+                        EventView::Timer { .. } => "a timer expiry",
+                    };
+                    self.same_instant = Some(format!(
+                        "{what} at {} was enqueued for t = {now} by an event at that same \
+                         instant (a zero message delay or a zero-length timer); the \
+                         same-time reduction needs every activation to enqueue strictly \
+                         later events",
+                        ev.pid()
+                    ));
+                    return ScheduleDecision::Abort;
+                }
+            }
+            _ => {
+                let newest = enabled.iter().map(EventView::seq).max().unwrap_or(0);
+                self.instant = Some((now, newest));
+            }
+        }
+        self.keys.clear();
+        self.keys.extend(enabled.iter().map(key_of::<A>));
+        self.cands.clear();
+        self.cands
+            .extend((0..enabled.len()).filter(|&i| !self.sleep.contains(&enabled[i].seq())));
+        if self.cands.is_empty() {
             // Every enabled event is asleep: any continuation is a
             // commutation of an already-explored schedule.
             return ScheduleDecision::Abort;
         }
-        let pick = if cands.len() == 1 {
-            0
+        self.persistent_alts();
+        let chosen_idx = if self.alts.len() == 1 {
+            self.alts[0]
         } else {
-            let branching = cands.iter().enumerate().any(|(i, &a)| {
-                cands[i + 1..].iter().any(|&b| {
-                    dependent(
-                        self.independence,
-                        self.spec,
-                        self.states,
-                        &keys[a],
-                        &keys[b],
-                    )
-                })
-            });
-            if branching {
-                let chosen = if self.depth < self.plan.len() {
-                    self.plan[self.depth]
-                } else {
-                    0
-                };
-                if chosen >= cands.len() {
-                    // The plan no longer fits the run's branching
-                    // structure. Unreachable from `model_check` (plans
-                    // are prefixes of recorded traces and replays are
-                    // deterministic), but `minimize` probes perturbed
-                    // plans — a divergent trial is simply abandoned.
-                    return ScheduleDecision::Abort;
-                }
-                self.depth += 1;
-                self.trace.push(ChoicePoint {
-                    alts: cands.len(),
-                    chosen,
-                });
-                // Earlier siblings were (or will have been) fully explored
-                // by branches to our left: they go to sleep.
-                for &ci in &cands[..chosen] {
-                    self.sleep.push((enabled[ci].seq(), keys[ci].clone()));
-                }
-                chosen
-            } else {
-                // Whole batch pairwise-independent: one order suffices.
-                0
+            let chosen = self.plan.get(self.depth).copied().unwrap_or(0);
+            if chosen >= self.alts.len() {
+                // The plan no longer fits the run's branching structure.
+                // Unreachable from `model_check` (plans are prefixes of
+                // recorded traces and replays are deterministic), but
+                // `minimize` probes perturbed plans — a divergent trial
+                // is simply abandoned.
+                return ScheduleDecision::Abort;
             }
+            self.depth += 1;
+            self.trace.push(ChoicePoint {
+                alts: self.alts.len(),
+                chosen,
+            });
+            // Earlier siblings were (or will have been) fully explored
+            // by branches to our left: they go to sleep.
+            self.sleep
+                .extend(self.alts[..chosen].iter().map(|&i| enabled[i].seq()));
+            self.alts[chosen]
         };
-        let chosen_idx = cands[pick];
-        let chosen_key = keys[chosen_idx].clone();
         // Executing an event wakes every sleeping event dependent with it
         // (their orders relative to it now matter again).
-        self.sleep.retain(|(seq, key)| {
-            *seq != enabled[chosen_idx].seq()
-                && !dependent(self.independence, self.spec, self.states, key, &chosen_key)
+        let w = self.row_words();
+        let row = &self.rows[chosen_idx * w..(chosen_idx + 1) * w];
+        self.sleep.retain(|&seq| {
+            enabled
+                .iter()
+                .position(|e| e.seq() == seq)
+                .is_some_and(|i| !bit(row, i))
         });
         ScheduleDecision::Take(chosen_idx)
     }
@@ -641,7 +783,10 @@ where
     let mut check_stats = None;
     let mut events = 0u64;
     let verdict = match result {
-        Err(SimError::PolicyAbort) => RunVerdict::Pruned,
+        Err(SimError::PolicyAbort) => match policy.same_instant {
+            Some(detail) => RunVerdict::Violation(ViolationKind::SameInstantEvent { detail }),
+            None => RunVerdict::Pruned,
+        },
         // Internal invariant: the engine only fails on its own limits;
         // name the coordinate so a grid-sized exploration is debuggable.
         Err(e) => panic!("model-checked run failed at delay digits {digits:?}, plan {plan:?}: {e}"),
@@ -794,8 +939,10 @@ where
 /// so the report is bit-identical at any thread count. A delay-dependent
 /// send pattern (detected up front, as in
 /// [`skewbound_shift::exhaustive_probe`]) yields a report with a single
-/// [`ViolationKind::SendOrderDivergence`] violation instead of a panic,
-/// and arbitrarily large delay grids are enumerated lazily — hitting
+/// [`ViolationKind::SendOrderDivergence`] violation instead of a panic;
+/// a run that enqueues an event at its own instant likewise yields a
+/// report with a single [`ViolationKind::SameInstantEvent`] violation.
+/// Arbitrarily large delay grids are enumerated lazily — hitting
 /// [`McConfig::max_schedules`] sets `capped` rather than overflowing.
 ///
 /// # Panics
@@ -834,34 +981,44 @@ where
     assert!(!config.delay_choices.is_empty(), "need delay choices");
     assert!(!config.clock_choices.is_empty(), "need clock choices");
     let bounds = params.delay_bounds();
-    match verify_send_order_independence(make_actors, &config.clock_choices[0], bounds, script) {
-        Ok(messages) => Ok(messages),
-        Err(divergence) => Err(Box::new(McReport {
-            messages: 0,
-            cells: 0,
-            schedules: 0,
-            pruned: 0,
-            off_space: 0,
-            unknown: 0,
-            capped: false,
-            explored_states: 0,
-            violations: vec![McViolation {
-                // The divergence is a property of the whole grid, not of
-                // one cell; anchor it at the origin coordinate (which is
-                // one of the two dry runs that exposed it).
-                clock_idx: 0,
-                delay_digits: Vec::new(),
-                choices: Vec::new(),
-                kind: ViolationKind::SendOrderDivergence {
-                    detail: divergence.to_string(),
+    verify_send_order_independence(make_actors, &config.clock_choices[0], bounds, script).map_err(
+        |divergence| {
+            // The divergence is a property of the whole grid, not of one
+            // cell; anchor it at the origin coordinate (which is one of
+            // the two dry runs that exposed it).
+            void_report(
+                0,
+                McViolation {
+                    clock_idx: 0,
+                    delay_digits: Vec::new(),
+                    choices: Vec::new(),
+                    kind: ViolationKind::SendOrderDivergence {
+                        detail: divergence.to_string(),
+                    },
                 },
-            }],
-            wall_nanos: 0,
-            workers: 1,
-            table_entries: 0,
-            table_hits: 0,
-        })),
-    }
+            )
+        },
+    )
+}
+
+/// The report of an exploration voided by `violation` (see
+/// [`ViolationKind::voids_exploration`]): no counts, one violation.
+pub(crate) fn void_report(messages: usize, violation: McViolation) -> Box<McReport> {
+    Box::new(McReport {
+        messages,
+        cells: 0,
+        schedules: 0,
+        pruned: 0,
+        off_space: 0,
+        unknown: 0,
+        capped: false,
+        explored_states: 0,
+        violations: vec![violation],
+        wall_nanos: 0,
+        workers: 1,
+        table_entries: 0,
+        table_hits: 0,
+    })
 }
 
 /// What exploring one work unit produced. A unit is a DFS subtree of one
@@ -971,13 +1128,14 @@ where
             RunVerdict::OffSpace(_) => out.off_space += 1,
             RunVerdict::Unknown => out.unknown += 1,
             RunVerdict::Violation(kind) => {
+                let stop = config.stop_at_first_violation || kind.voids_exploration();
                 out.violations.push(McViolation {
                     clock_idx,
                     delay_digits: digits.to_vec(),
                     choices: run_choices,
                     kind,
                 });
-                if config.stop_at_first_violation {
+                if stop {
                     return out;
                 }
             }
@@ -1112,4 +1270,453 @@ where
         },
         steps.get(),
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use std::collections::BTreeSet;
+
+    use skewbound_core::foils::{eager_group, LocalFirstReplica};
+    use skewbound_core::replica::Replica;
+    use skewbound_core::timestamp::Timestamp;
+    use skewbound_sim::actor::{Actor, Context};
+    use skewbound_spec::counter::{Counter, CounterOp, CounterResp};
+    use skewbound_spec::prelude::*;
+    use skewbound_spec::probes;
+
+    use super::*;
+
+    /// One completed run as the world sees it: the history records
+    /// `(pid, op, resp, invoked_at, responded_at)`, sorted, plus every
+    /// replica's executed timestamp order.
+    type Outcome = (
+        Vec<(ProcessId, String, String, SimTime, Option<SimTime>)>,
+        Vec<Vec<Timestamp>>,
+    );
+
+    fn params() -> Params {
+        Params::with_optimal_skew(
+            3,
+            SimDuration::from_ticks(9_000),
+            SimDuration::from_ticks(2_400),
+            SimDuration::ZERO,
+        )
+        .expect("valid parameters")
+    }
+
+    fn pid(i: u32) -> ProcessId {
+        ProcessId::new(i)
+    }
+
+    fn t(ticks: u64) -> SimTime {
+        SimTime::from_ticks(ticks)
+    }
+
+    /// Walks the whole schedule DFS of each `(clock index, delay digits)`
+    /// cell under `independence`, replaying every plan the way
+    /// [`explore_unit`] does, and collects the outcome of every run that
+    /// completed (pruned runs are commutations of ones already seen).
+    fn outcomes<A, F>(
+        spec: &A::Spec,
+        make_actors: &F,
+        script: &[(ProcessId, SimTime, A::Op)],
+        probe_states: Vec<<A::Spec as SequentialSpec>::State>,
+        independence: Independence,
+        cells: &[(usize, Vec<usize>)],
+    ) -> BTreeSet<Outcome>
+    where
+        A: ModelActor,
+        F: Fn() -> Vec<A>,
+    {
+        let p = params();
+        let config: McConfig<A::Spec> = McConfig::corners(&p, probe_states);
+        let mut seen = BTreeSet::new();
+        for (clock_idx, digits) in cells {
+            let mut plan = Vec::new();
+            loop {
+                let assignment = digits.iter().map(|&d| config.delay_choices[d]).collect();
+                let mut sim = Simulation::new(
+                    make_actors(),
+                    config.clock_choices[*clock_idx].clone(),
+                    EnumeratedDelay::new(p.delay_bounds(), assignment),
+                );
+                for (pid, at, op) in script {
+                    sim.schedule_invoke(*pid, *at, op.clone());
+                }
+                let mut policy = ReplayPolicy::new(spec, &config.probe_states, independence, &plan);
+                match sim.run_scheduled(&mut policy) {
+                    Ok(_) => {
+                        let mut records: Vec<_> = sim
+                            .history()
+                            .records()
+                            .iter()
+                            .map(|r| {
+                                (
+                                    r.pid,
+                                    format!("{:?}", r.op),
+                                    format!("{:?}", r.resp()),
+                                    r.invoked_at,
+                                    r.responded_at(),
+                                )
+                            })
+                            .collect();
+                        records.sort();
+                        let orders = ProcessId::all(p.n())
+                            .filter_map(|pid| sim.actor(pid).executed_order().map(<[_]>::to_vec))
+                            .collect();
+                        seen.insert((records, orders));
+                    }
+                    Err(SimError::PolicyAbort) => {
+                        assert!(policy.same_instant.is_none(), "{:?}", policy.same_instant);
+                        assert_eq!(independence, Independence::Dpor, "naive never prunes");
+                    }
+                    Err(e) => panic!("run failed: {e}"),
+                }
+                match next_plan_locked(&policy.trace, 0) {
+                    Some(next) => plan = next,
+                    None => break,
+                }
+            }
+        }
+        seen
+    }
+
+    /// The persistent-set reduction loses no behaviour: over the same
+    /// cells, the DPOR walk reaches exactly the outcomes the naive walk
+    /// (every order of every batch) reaches.
+    #[test]
+    fn dpor_reaches_every_outcome_naive_reaches() {
+        let p = params();
+        let same = |name: &str, dpor: BTreeSet<Outcome>, naive: BTreeSet<Outcome>| {
+            assert!(!dpor.is_empty(), "{name}: no run completed");
+            assert_eq!(dpor, naive, "{name}: outcome sets differ");
+        };
+
+        // Algorithm 1 on two racing writes, at `d` and zero skew (the naive
+        // walk of the `d − u` cell alone runs to two million schedules).
+        let register = [
+            (pid(0), t(0), RmwOp::Write(1)),
+            (pid(1), t(0), RmwOp::Write(2)),
+            (pid(2), t(40_000), RmwOp::Read),
+        ];
+        let cells = [(0, vec![1; 4])];
+        let make = || Replica::group(RmwRegister::default(), &p);
+        let walk = |independence| {
+            outcomes(
+                &RmwRegister::default(),
+                &make,
+                &register,
+                probes::register_states(),
+                independence,
+                &cells,
+            )
+        };
+        same(
+            "register",
+            walk(Independence::Dpor),
+            walk(Independence::Naive),
+        );
+
+        // A replica that answers from local state: which racing write a
+        // read sees depends on the order of same-time deliveries and the
+        // read's invocation, so a reduction that drops an order drops an
+        // outcome.
+        let racing = [
+            (pid(0), t(0), RegOp::Write(1)),
+            (pid(1), t(0), RegOp::Write(2)),
+            (pid(2), t(9_000), RegOp::Read),
+        ];
+        let cells = [(0, vec![1; 4]), (0, vec![0, 0, 1, 1]), (1, vec![1; 4])];
+        let make = || LocalFirstReplica::group(RwRegister::<i64>::default(), p.n());
+        let walk = |independence| {
+            outcomes(
+                &RwRegister::<i64>::default(),
+                &make,
+                &racing,
+                probes::register_states(),
+                independence,
+                &cells,
+            )
+        };
+        let dpor = walk(Independence::Dpor);
+        assert!(
+            dpor.len() > 2,
+            "the read must see each racing write in some order: {dpor:?}"
+        );
+        same("local-first register", dpor, walk(Independence::Naive));
+
+        // Two commuting deliveries and a timer, due together at p2: only
+        // the dependence closure of the first delivery (through the
+        // timer) reaches the read that sees the second write alone.
+        let tally = [
+            (pid(0), t(0), CounterOp::Add(1)),
+            (pid(1), t(0), CounterOp::Add(2)),
+            (pid(2), t(0), CounterOp::Read),
+        ];
+        let make = || vec![Tally::default(), Tally::default(), Tally::default()];
+        let walk = |independence| {
+            outcomes(
+                &Counter::default(),
+                &make,
+                &tally,
+                probes::register_states(),
+                independence,
+                &[(0, vec![1; 4])],
+            )
+        };
+        let dpor = walk(Independence::Dpor);
+        assert_eq!(dpor.len(), 4, "the read sees 0, 1, 2 or 3: {dpor:?}");
+        same("tally", dpor, walk(Independence::Naive));
+
+        let stack = [
+            (pid(0), t(0), StackOp::Push(7)),
+            (pid(1), t(200), StackOp::Pop),
+        ];
+        let cells = [(0, vec![1; 4]), (0, vec![0; 4]), (2, vec![0, 1, 0, 1])];
+        let make = || Replica::group(Stack::<i64>::new(), &p);
+        let walk = |independence| {
+            outcomes(
+                &Stack::<i64>::new(),
+                &make,
+                &stack,
+                probes::stack_states(),
+                independence,
+                &cells,
+            )
+        };
+        same("stack", walk(Independence::Dpor), walk(Independence::Naive));
+
+        let foil = [
+            (pid(2), t(0), QueueOp::Enqueue(7)),
+            (pid(0), t(40_000), QueueOp::Dequeue),
+            (pid(1), t(40_500), QueueOp::Dequeue),
+        ];
+        let cells = [
+            (0, vec![1; 6]),
+            (0, vec![0; 6]),
+            (1, vec![0, 1, 0, 1, 0, 1]),
+        ];
+        let make = || eager_group(Queue::<i64>::new(), &p, 1, 2);
+        let walk = |independence| {
+            outcomes(
+                &Queue::<i64>::new(),
+                &make,
+                &foil,
+                probes::queue_states(),
+                independence,
+                &cells,
+            )
+        };
+        same(
+            "eager queue foil",
+            walk(Independence::Dpor),
+            walk(Independence::Naive),
+        );
+    }
+
+    /// Adds locally and broadcasts; a read answers after `d` with the
+    /// local sum, whatever has arrived by then.
+    #[derive(Debug, Default)]
+    struct Tally(i64);
+
+    impl Actor for Tally {
+        type Msg = CounterOp;
+        type Op = CounterOp;
+        type Resp = CounterResp;
+        type Timer = ();
+
+        fn on_invoke(&mut self, op: CounterOp, ctx: &mut Context<'_, Self>) {
+            match op {
+                CounterOp::Add(k) => {
+                    self.0 += k;
+                    ctx.broadcast(CounterOp::Add(k));
+                    ctx.respond(CounterResp::Ack);
+                }
+                CounterOp::Read => {
+                    ctx.set_timer(params().d(), ());
+                }
+            }
+        }
+
+        fn on_message(&mut self, _from: ProcessId, msg: CounterOp, _ctx: &mut Context<'_, Self>) {
+            if let CounterOp::Add(k) = msg {
+                self.0 += k;
+            }
+        }
+
+        fn on_timer(&mut self, (): (), ctx: &mut Context<'_, Self>) {
+            ctx.respond(CounterResp::Value(self.0));
+        }
+    }
+
+    impl ModelActor for Tally {
+        type Spec = Counter;
+
+        fn payload_op(msg: &CounterOp) -> Option<&CounterOp> {
+            Some(msg)
+        }
+    }
+
+    /// A batch wider than one mask word: 70 reads invoked together at
+    /// 70 processes, then their 70 timers due together. Every event is
+    /// independent of the rest, so one schedule covers the cell.
+    #[test]
+    fn wide_batch_of_independent_events_runs_one_schedule() {
+        let p = Params::with_optimal_skew(
+            70,
+            SimDuration::from_ticks(9_000),
+            SimDuration::from_ticks(2_400),
+            SimDuration::ZERO,
+        )
+        .expect("valid parameters");
+        let mut config = McConfig::corners(&p, probes::register_states());
+        config.clock_choices.truncate(1);
+        config.workers = Some(1);
+        let script: Vec<_> = ProcessId::all(70)
+            .map(|q| (q, t(0), CounterOp::Read))
+            .collect();
+        let report = model_check(
+            &Counter::default(),
+            || (0..70).map(|_| Tally::default()).collect(),
+            &p,
+            &script,
+            &config,
+        );
+        assert!(report.all_passed(), "{report:?}");
+        assert_eq!((report.cells, report.schedules), (1, 1));
+        assert_eq!(report.explored_states, 140);
+    }
+
+    /// The closure follows dependence across row words and through
+    /// sleeping events: two commuting deliveries at p0 (indices 0 and
+    /// 66) are both dependent with a p0 timer (index 65), everything
+    /// else comes in same-process groups elsewhere.
+    #[test]
+    fn closure_spans_row_words_and_sleepers() {
+        let spec = Counter::default();
+        let states = probes::register_states();
+        let mut policy = ReplayPolicy::new(&spec, &states, Independence::Dpor, &[]);
+        policy
+            .keys
+            .push(EvKey::Deliver(pid(0), Some(CounterOp::Add(1))));
+        policy
+            .keys
+            .extend((0..64).map(|i| EvKey::Timer(pid(100 + i / 2))));
+        policy.keys.push(EvKey::Timer(pid(0)));
+        policy
+            .keys
+            .push(EvKey::Deliver(pid(0), Some(CounterOp::Add(2))));
+        policy.keys.extend([
+            EvKey::Invoke(pid(200)),
+            EvKey::Timer(pid(200)),
+            EvKey::Invoke(pid(200)),
+        ]);
+        assert_eq!(policy.keys.len(), 70);
+
+        policy.cands = (0..70).collect();
+        policy.persistent_alts();
+        assert_eq!(policy.alts, [0, 65, 66]);
+
+        policy.cands.retain(|&c| c != 65);
+        policy.persistent_alts();
+        assert_eq!(policy.alts, [0, 66], "the sleeping timer still links them");
+    }
+
+    /// `(schedules, explored states)` of a sequential exploration, which
+    /// must have pruned nothing.
+    fn counts<A, F>(
+        spec: &A::Spec,
+        make_actors: F,
+        script: &[(ProcessId, SimTime, A::Op)],
+        probe_states: Vec<<A::Spec as SequentialSpec>::State>,
+        clocks: usize,
+        independence: Independence,
+    ) -> (u64, u64)
+    where
+        A: ModelActor,
+        A::Spec: Sync,
+        <A::Spec as SequentialSpec>::State: Sync,
+        <A::Spec as SequentialSpec>::Op: Send + Sync,
+        <A::Spec as SequentialSpec>::Resp: Send + Sync,
+        F: Fn() -> Vec<A> + Sync,
+    {
+        let p = params();
+        let mut config = McConfig::corners(&p, probe_states);
+        config.clock_choices.truncate(clocks);
+        config.independence = independence;
+        config.workers = Some(1);
+        let report = model_check(spec, make_actors, &p, script, &config);
+        assert!(report.all_passed(), "{report:?}");
+        assert_eq!(report.pruned, 0, "no run may end sleep-blocked");
+        (report.schedules, report.explored_states)
+    }
+
+    /// The scenarios `skewlint --smoke` checks, and one query shaped like
+    /// the `mc-register` benchmark's, explore exactly the runs the
+    /// sleep-set-only explorer completed — `schedules − pruned` and
+    /// `explored_states` as it reported them — with none pruned.
+    #[test]
+    fn exploration_counts_match_the_sleep_set_explorer() {
+        let p = params();
+        let register = [
+            (pid(0), t(0), RmwOp::Write(1)),
+            (pid(1), t(0), RmwOp::Write(2)),
+            (pid(2), t(40_000), RmwOp::Read),
+        ];
+        let make = || Replica::group(RmwRegister::default(), &p);
+        let spec = RmwRegister::default();
+        let states = probes::register_states;
+        let dpor = Independence::Dpor;
+        assert_eq!(
+            counts(&spec, make, &register, states(), 3, dpor),
+            (450, 8_100)
+        );
+
+        let queue = [
+            (pid(0), t(0), QueueOp::Enqueue(1)),
+            (pid(1), t(0), QueueOp::Enqueue(2)),
+            (pid(2), t(40_000), QueueOp::Dequeue),
+        ];
+        let make_queue = || Replica::group(Queue::<i64>::new(), &p);
+        let queue_counts = counts(
+            &Queue::<i64>::new(),
+            make_queue,
+            &queue,
+            probes::queue_states(),
+            3,
+            dpor,
+        );
+        assert_eq!(queue_counts, (1_800, 41_400));
+
+        let stack = [
+            (pid(0), t(0), StackOp::Push(7)),
+            (pid(1), t(200), StackOp::Pop),
+        ];
+        let make_stack = || Replica::group(Stack::<i64>::new(), &p);
+        let stack_counts = |independence| {
+            counts(
+                &Stack::<i64>::new(),
+                make_stack,
+                &stack,
+                probes::stack_states(),
+                3,
+                independence,
+            )
+        };
+        assert_eq!(stack_counts(dpor), (48, 720));
+        assert_eq!(stack_counts(Independence::Naive), (6_912, 103_680));
+
+        // Two racing writes, a read probe at d/2, a final read; every
+        // clock corner.
+        let query = [
+            (pid(0), t(0), RmwOp::Write(11)),
+            (pid(1), t(0), RmwOp::Write(22)),
+            (pid(2), t(4_500), RmwOp::Read),
+            (pid(0), t(36_000), RmwOp::Read),
+        ];
+        assert_eq!(
+            counts(&spec, make, &query, states(), 7, dpor),
+            (1_050, 21_000)
+        );
+    }
 }

@@ -36,7 +36,7 @@
 //! merge walk then computes the exact canonical cut, re-running the cut
 //! unit with the precise remainder. Everything beyond the cut — the
 //! pending unit list and the lazy cell-generator position — is returned
-//! as a [`Fringe`], serializable to `skewbound-fringe/v1` JSON via the
+//! as a [`Fringe`], serializable to `skewbound-fringe/v2` JSON via the
 //! `lint` JSON module and resumable with [`model_check_resumable`]: a
 //! resumed exploration (with the cumulative budget raised) produces the
 //! same final report as an uninterrupted run. Cells are enumerated
@@ -58,14 +58,14 @@ use skewbound_sim::time::SimTime;
 use skewbound_spec::seqspec::SequentialSpec;
 
 use crate::explore::{
-    explore_unit, preflight, DigitCounter, McConfig, McReport, McViolation, UnitOutcome,
-    ViolationKind,
+    explore_unit, preflight, void_report, DigitCounter, McConfig, McReport, McViolation,
+    UnitOutcome, ViolationKind,
 };
 use crate::model::ModelActor;
 use crate::table::TranspositionTable;
 
 /// Schema tag of the serialized fringe.
-pub const FRINGE_SCHEMA: &str = "skewbound-fringe/v1";
+pub const FRINGE_SCHEMA: &str = "skewbound-fringe/v2";
 
 /// One work unit: a DFS subtree of one grid cell. `plan == []` with
 /// `lock_depth == 0` is the whole fresh cell; a split sibling carries
@@ -209,7 +209,7 @@ impl Fringe {
         self.schedules
     }
 
-    /// Serializes to `skewbound-fringe/v1` JSON (pretty-printed, like
+    /// Serializes to `skewbound-fringe/v2` JSON (pretty-printed, like
     /// certificates).
     #[must_use]
     pub fn to_json(&self) -> String {
@@ -224,7 +224,8 @@ impl Fringe {
                     ViolationKind::Invariant { name, detail } => {
                         (Json::Str(name.clone()), Json::Str(detail.clone()))
                     }
-                    ViolationKind::SendOrderDivergence { detail } => {
+                    ViolationKind::SendOrderDivergence { detail }
+                    | ViolationKind::SameInstantEvent { detail } => {
                         (Json::Null, Json::Str(detail.clone()))
                     }
                     _ => (Json::Null, Json::Null),
@@ -304,6 +305,9 @@ impl Fringe {
                     detail: detail.to_owned(),
                 },
                 "send-order-divergence" => ViolationKind::SendOrderDivergence {
+                    detail: detail.to_owned(),
+                },
+                "same-instant-event" => ViolationKind::SameInstantEvent {
                     detail: detail.to_owned(),
                 },
                 other => return Err(format!("violations[{i}] has unknown kind {other:?}")),
@@ -528,18 +532,16 @@ where
             }
             let unit = {
                 let mut frontier = frontier.lock().expect("frontier poisoned");
-                if config.stop_at_first_violation {
-                    // Units past the least violating coordinate are dead
-                    // weight: the merge walk will discard them.
-                    let min = min_violating.lock().expect("min poisoned");
-                    if let Some(min) = min.as_ref() {
-                        let ahead_of_min = frontier
-                            .pending
-                            .first_key_value()
-                            .is_some_and(|(u, ())| u < min);
-                        if !ahead_of_min {
-                            return;
-                        }
+                // Units past the least stopping coordinate are dead
+                // weight: the merge walk will discard them.
+                let min = min_violating.lock().expect("min poisoned");
+                if let Some(min) = min.as_ref() {
+                    let ahead_of_min = frontier
+                        .pending
+                        .first_key_value()
+                        .is_some_and(|(u, ())| u < min);
+                    if !ahead_of_min {
+                        return;
                     }
                 }
                 frontier.claim()
@@ -579,7 +581,11 @@ where
                             );
                         }
                     }
-                    if config.stop_at_first_violation && !outcome.violations.is_empty() {
+                    let stops = outcome
+                        .violations
+                        .iter()
+                        .any(|v| config.stop_at_first_violation || v.kind.voids_exploration());
+                    if stops {
                         let mut min = min_violating.lock().expect("min poisoned");
                         if min.as_ref().is_none_or(|m| unit < *m) {
                             *min = Some(unit.clone());
@@ -748,6 +754,13 @@ where
         report.unknown += outcome.unknown;
         report.explored_states += outcome.events;
         let violated = !outcome.violations.is_empty();
+        if let Some(void) = outcome
+            .violations
+            .iter()
+            .find(|v| v.kind.voids_exploration())
+        {
+            return (*void_report(messages, void.clone()), None);
+        }
         report.violations.extend(outcome.violations);
         for (plan, lock_depth) in outcome.spawned {
             map.entry(Unit {

@@ -10,8 +10,9 @@
 //!
 //! * [`explore`] — replay-based depth-first exploration of **every**
 //!   delivery order among same-time events, on top of every delay and
-//!   clock corner, pruned with sleep sets over a commuting-delivery
-//!   independence relation (dynamic partial-order reduction);
+//!   clock corner, pruned with persistent sets and sleep sets over a
+//!   commuting-delivery independence relation (dynamic partial-order
+//!   reduction);
 //! * [`model`] — the small contract ([`ModelActor`]) an implementation
 //!   satisfies to be explorable: message payload ops (for the
 //!   independence relation) and executed timestamp orders (for the

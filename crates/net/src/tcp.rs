@@ -438,8 +438,9 @@ fn read_connection(
     stop: &Arc<AtomicBool>,
 ) {
     let _ = stream.set_read_timeout(Some(POLL));
+    let mut frames = FrameReader::default();
     // The hello decides the connection's role.
-    let Some(hello) = read_frame_polled(&mut stream, stop) else {
+    let Some(hello) = frames.next(&mut stream, stop) else {
         return;
     };
     let Ok((header, payload)) = decode_frame(&hello) else {
@@ -455,13 +456,13 @@ fn read_connection(
                 return;
             };
             let from = ProcessId::new(raw_pid);
-            read_peer_frames(&mut stream, from, event_tx, watermarks, stop);
+            read_peer_frames(&mut stream, &mut frames, from, event_tx, watermarks, stop);
         }
         Ok(ROLE_CLIENT) => {
             if let Ok(write_half) = stream.try_clone() {
                 clients.lock().unwrap().insert(conn, write_half);
             }
-            read_client_frames(&mut stream, conn, event_tx, stop);
+            read_client_frames(&mut stream, &mut frames, conn, event_tx, stop);
             clients.lock().unwrap().remove(&conn);
             let _ = event_tx.send(RawEvent::ClientGone { conn });
         }
@@ -469,18 +470,46 @@ fn read_connection(
     }
 }
 
-/// [`read_frame`] under a read timeout: retries timeouts until a frame
-/// arrives, EOF, a hard error, or shutdown.
-fn read_frame_polled(stream: &mut TcpStream, stop: &AtomicBool) -> Option<Vec<u8>> {
-    loop {
-        if stop.load(Ordering::Acquire) {
-            return None;
-        }
-        match read_frame(stream) {
-            Ok(Some(body)) => return Some(body),
-            Ok(None) => return None,
-            Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {}
-            Err(_) => return None,
+/// Frame reader for a stream under a read timeout. Bytes read before a
+/// timeout stay in the buffer, so a frame whose bytes straddle a
+/// timeout is reassembled rather than torn out of the stream.
+#[derive(Debug, Default)]
+struct FrameReader {
+    /// Bytes read but not yet returned as frames.
+    buf: Vec<u8>,
+}
+
+impl FrameReader {
+    /// Reads the next frame body: retries timeouts until a whole frame
+    /// is buffered; `None` on EOF, a hard error, an implausible length
+    /// prefix, or shutdown.
+    fn next(&mut self, stream: &mut TcpStream, stop: &AtomicBool) -> Option<Vec<u8>> {
+        let mut chunk = [0u8; 8192];
+        loop {
+            if let Some(prefix) = self.buf.first_chunk::<4>() {
+                let len = u32::from_le_bytes(*prefix) as usize;
+                if len > MAX_FRAME_LEN {
+                    return None;
+                }
+                if self.buf.len() >= 4 + len {
+                    let body = self.buf[4..4 + len].to_vec();
+                    self.buf.drain(..4 + len);
+                    return Some(body);
+                }
+            }
+            if stop.load(Ordering::Acquire) {
+                return None;
+            }
+            match stream.read(&mut chunk) {
+                Ok(0) => return None,
+                Ok(n) => self.buf.extend_from_slice(&chunk[..n]),
+                Err(e)
+                    if matches!(
+                        e.kind(),
+                        ErrorKind::WouldBlock | ErrorKind::TimedOut | ErrorKind::Interrupted
+                    ) => {}
+                Err(_) => return None,
+            }
         }
     }
 }
@@ -490,12 +519,13 @@ fn read_frame_polled(stream: &mut TcpStream, stop: &AtomicBool) -> Option<Vec<u8
 /// `msg_id .. msg_id + batch`, so the watermark is the highest id seen.
 fn read_peer_frames(
     stream: &mut TcpStream,
+    frames: &mut FrameReader,
     from: ProcessId,
     event_tx: &Sender<RawEvent>,
     watermarks: &[AtomicU64],
     stop: &AtomicBool,
 ) {
-    while let Some(body) = read_frame_polled(stream, stop) {
+    while let Some(body) = frames.next(stream, stop) {
         let Ok((header, payload)) = decode_frame(&body) else {
             return; // corrupt stream; drop the connection
         };
@@ -523,11 +553,12 @@ fn read_peer_frames(
 /// Forwards client frames until the session closes.
 fn read_client_frames(
     stream: &mut TcpStream,
+    frames: &mut FrameReader,
     conn: u64,
     event_tx: &Sender<RawEvent>,
     stop: &AtomicBool,
 ) {
-    while let Some(body) = read_frame_polled(stream, stop) {
+    while let Some(body) = frames.next(stream, stop) {
         let Ok((header, payload)) = decode_frame(&body) else {
             return;
         };

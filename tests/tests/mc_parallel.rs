@@ -183,6 +183,21 @@ fn fringe_round_trip_resumes_to_identical_report() {
     );
 }
 
+/// Fringe plans index the alternative lists of the explorer that wrote
+/// them; a `v1` fringe comes from the sleep-set-only explorer, whose
+/// lists were longer, so resuming it would explore the wrong subtrees.
+/// It must be refused with the typed parse error.
+#[test]
+fn v1_fringe_is_rejected() {
+    let (_, fringe) = register_report(Some(1), 25);
+    let text = fringe.expect("capped run yields a fringe").to_json();
+    assert!(text.contains("\"skewbound-fringe/v2\""), "{text}");
+    let old = text.replace("skewbound-fringe/v2", "skewbound-fringe/v1");
+    let err = Fringe::parse(&old).expect_err("a v1 fringe must not parse");
+    assert!(err.contains("skewbound-fringe/v1"), "{err}");
+    assert!(err.contains("expected \"skewbound-fringe/v2\""), "{err}");
+}
+
 /// 2 delay choices × 64 messages used to overflow the `u64` cell count
 /// and panic (`expect("delay grid exceeds u64")`). The lazy mixed-radix
 /// counter must instead explore up to the schedule budget and report
